@@ -23,7 +23,7 @@ import numpy as np
 from . import pipeline
 from .errors import (EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE,
                      ContagionLabError, MissingColumn)
-from .graph import build_network
+from .graph import build_network, eigenvalues_csv_text
 from .ingest import balanced_panel, load_panel
 from .pipeline import (
     OUTPUT_DIR_ENV,
@@ -39,6 +39,7 @@ from .reconstruct import (
     DEFAULT_EDGE_THRESHOLD,
     FixedRatio,
     LinearLogRatio,
+    RHO_SWEEP_RANGE,
     ReconstructionConfig,
     SizeThresholdRatio,
     exposure_from_csv_text,
@@ -126,18 +127,12 @@ def _emit(cfg_output_dir: str, name: str, payload: dict, table: str | None,
 def cmd_analyze(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
-    panel = _load(cfg)
-    results = pipeline.analyze_panel(panel, cfg)
+    reports = pipeline.year_reports(_load(cfg), cfg)
+    results = pipeline.analyze_results(reports)
     if args.eigenvalues_csv:
-        from .graph import eigenvalues_csv_text, laplacian_spectrum
-        from .reconstruct import reconstruct_exposures
-        years = list(cfg.years) if cfg.years else list(panel.years)
-        for year in years:
-            ids, assets = panel.assets_for_year(year)
-            exposures = reconstruct_exposures(assets, cfg.method, ids)
-            net = build_network(exposures, cfg.method.min_edge_threshold)
-            text = eigenvalues_csv_text(laplacian_spectrum(net))
-            atomic_write_text(Path(cfg.output_dir) / f"eigenvalues_{year}.csv", text)
+        for r in reports:
+            atomic_write_text(Path(cfg.output_dir) / f"eigenvalues_{r.year}.csv",
+                              eigenvalues_csv_text(r.spectrum))
     payload = envelope("analyze", cfg.to_json_dict(), results)
     rows = [
         (r["year"], r["n_banks"], r["lambda2"], r["kappa_eff"], r["d_star"])
@@ -155,7 +150,7 @@ def cmd_sweep(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
     if cfg.ratio_sweep is None:
-        cfg = RunConfig(**{**_cfg_kwargs(cfg), "ratio_sweep": (0.01, 0.10, 10)})
+        cfg = replace(cfg, ratio_sweep=(*RHO_SWEEP_RANGE, 10))
     panel = _load(cfg)
     results = pipeline.sweep_ratios(panel, cfg)
     payload = envelope("sweep", cfg.to_json_dict(), results)

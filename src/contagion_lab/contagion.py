@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     Disconnected,
-    ForcingNotSupported,
     InvalidEpsilon,
     NonPositiveLambda2,
 )
@@ -28,15 +27,10 @@ from .graph import WeightedNetwork, laplacian_spectrum
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Diffusion coefficient, intrinsic decay, and (unused) forcing map.
-
-    Forcing is accepted for interface completeness but never integrated;
-    solvers reject a nonzero forcing map explicitly.
-    """
+    """Diffusion coefficient and intrinsic decay rate."""
 
     D: float = 1.0
     kappa: float = 0.0
-    forcing: Mapping | None = None
 
     def __post_init__(self):
         if not self.D > 0:
@@ -120,15 +114,6 @@ def dominance_share(lambda2: float, params: DiffusionParams) -> float:
     return root / (root + params.kappa)
 
 
-def _check_forcing(params: DiffusionParams) -> None:
-    if params.forcing:
-        if any(v != 0 for v in params.forcing.values()):
-            raise ForcingNotSupported(
-                "nonzero forcing is accepted in DiffusionParams but not "
-                "integrated by the spectral solver"
-            )
-
-
 def solve_diffusion(net: WeightedNetwork, params: DiffusionParams,
                     u0: DistressState | Sequence[float] | np.ndarray,
                     t: float) -> DistressState:
@@ -137,7 +122,6 @@ def solve_diffusion(net: WeightedNetwork, params: DiffusionParams,
     Works on disconnected graphs too; mass within each component evolves
     independently.
     """
-    _check_forcing(params)
     if t < 0:
         raise ValueError("t must be >= 0")
     u_init = u0.u if isinstance(u0, DistressState) else np.asarray(u0, dtype=float)
@@ -154,7 +138,6 @@ def solve_diffusion(net: WeightedNetwork, params: DiffusionParams,
 def diffusion_trajectory(net: WeightedNetwork, params: DiffusionParams,
                          u0: np.ndarray, times: Sequence[float]) -> list[DistressState]:
     """States at several times, reusing one eigendecomposition."""
-    _check_forcing(params)
     u_init = np.asarray(u0, dtype=float)
     if u_init.shape != (net.n,):
         raise DimensionMismatch(f"u0 has shape {u_init.shape}, need ({net.n},)")

@@ -89,15 +89,7 @@ class Disconnected(ContagionLabError):
     """Operation requires a connected network."""
 
 
-class ForcingNotSupported(ContagionLabError):
-    """Nonzero forcing terms are accepted in the type but never integrated."""
-
-
 # --- statistical inference ---------------------------------------------------
-
-class DegenerateReplicate(ContagionLabError):
-    """A bootstrap resample had zero total assets."""
-
 
 class TooFewPoints(ContagionLabError):
     """Not enough (distinct) observations above x_min to fit tails."""

@@ -1,27 +1,25 @@
 """Weighted-graph construction, Laplacian spectra, and topology metrics.
 
 The Laplacian is L = D - W with D the diagonal weighted-degree matrix.
-Dense symmetric eigendecomposition is used up to ``DENSE_CUTOFF`` nodes;
-beyond that an iterative Lanczos-type solver (ARPACK shift-invert)
-extracts the smallest eigenpairs. Algebraic connectivity is always
-reported for the largest connected component.
+Every spectrum comes from dense symmetric eigensolvers on the largest
+connected component and on the block of the other nodes. Algebraic
+connectivity is always reported for the largest connected component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from .errors import DegenerateVector, NonPositiveLambda2, SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
 
-DENSE_CUTOFF = 100
 #: Eigenvalues below ZERO_TOL * max(1, lambda_n) count as zero.
 ZERO_TOL = 1e-6
 
@@ -91,23 +89,38 @@ def build_network(exposures: ExposureMatrix, epsilon: float = 0.0) -> WeightedNe
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Laplacian eigenvalues plus the Fiedler pair of the largest component.
+    """Complete Laplacian spectrum plus the Fiedler pair of the largest component.
 
-    ``eigenvalues`` covers the full graph when ``complete`` is True (dense
-    path); the iterative path stores only the smallest computed values.
-    The Fiedler vector is embedded in full length with zeros off the
-    largest component and its first nonzero entry oriented positive.
+    ``eigenvalues`` is the sorted union of the largest component's
+    eigenvalues (kept in ``lcc_eigenvalues``) and those of the block of all
+    other nodes: the whole graph's spectrum. The Fiedler vector is computed
+    on first read, embedded in full length with zeros off the largest
+    component and its first nonzero entry oriented positive.
     """
 
-    bank_ids: tuple[str, ...]
+    network: WeightedNetwork = field(repr=False)
     eigenvalues: np.ndarray
-    fiedler_vector: np.ndarray
+    lcc_eigenvalues: np.ndarray
     component_sizes: tuple[int, ...]
     lambda2: float
     lambda_n: float
     component_mask: np.ndarray
-    complete: bool = True
-    method: str = "dense"
+    method: str = "dense"  # the only solver path; perfbench/tracing.py counts by it
+
+    @property
+    def bank_ids(self) -> tuple[str, ...]:
+        return self.network.bank_ids
+
+    @cached_property
+    def fiedler_vector(self) -> np.ndarray:
+        main = np.flatnonzero(self.component_mask)
+        _, vecs = np.linalg.eigh(_laplacian_block(self.network.W, main))
+        # project out any residual uniform contamination, then normalize
+        q2 = vecs[:, 1] - vecs[:, 1].mean()
+        q2 /= np.linalg.norm(q2)
+        fiedler = np.zeros(self.network.n)
+        fiedler[main] = q2
+        return _orient(fiedler)
 
     def n_components(self) -> int:
         return len(self.component_sizes)
@@ -120,7 +133,6 @@ class SpectrumResult:
             "component_sizes": list(self.component_sizes),
             "lambda2": float(self.lambda2),
             "lambda_n": float(self.lambda_n),
-            "complete": self.complete,
             "method": self.method,
         }
 
@@ -133,34 +145,22 @@ def _orient(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
-def _lanczos_pair(L: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Smallest k eigenpairs and lambda_n via ARPACK with deterministic start.
-
-    Shift-invert with a small negative sigma keeps L - sigma*I positive
-    definite despite the zero eigenvalue.
-    """
-    n = L.shape[0]
-    Ls = sp.csr_matrix(L)
-    scale = max(1.0, float(np.max(np.diagonal(L))))
-    # fixed start vector: deterministic and not in the Laplacian null space
-    v0 = np.cos(np.arange(n, dtype=float) + 0.5)
-    v0 /= np.linalg.norm(v0)
-    k = min(k, n - 1)
-    vals, vecs = eigsh(Ls, k=k, sigma=-1e-3 * scale, which="LM", v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    top = eigsh(Ls, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return vals, vecs, float(top[0])
+def _laplacian_block(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Laplacian of the subgraph on ``idx``, built in its own copy of the block."""
+    L = W[np.ix_(idx, idx)]
+    degrees = L.sum(axis=1)
+    np.subtract(0.0, L, out=L)
+    L.flat[::len(idx) + 1] = degrees
+    return L
 
 
-def laplacian_spectrum(net: WeightedNetwork, method: str = "auto",
-                       dense_cutoff: int = DENSE_CUTOFF) -> SpectrumResult:
-    """Eigendecomposition of the Laplacian with component bookkeeping.
+def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
+    """Complete Laplacian spectrum with component bookkeeping.
 
-    ``method`` is "auto" (dense up to ``dense_cutoff`` nodes, Lanczos
-    beyond), "dense", or "lanczos". lambda2 and the Fiedler vector are
-    computed on the largest connected component; SingletonGraph is raised
-    if that component has fewer than 2 nodes.
+    No edge joins the largest connected component to the other nodes, so
+    the Laplacian is block diagonal and its spectrum is the union of the
+    two blocks' eigenvalues (one ``eigvalsh`` each). lambda2 is the largest
+    component's; SingletonGraph is raised if it has fewer than 2 nodes.
     """
     if net.n < 2:
         raise SingletonGraph("need at least 2 nodes")
@@ -168,61 +168,27 @@ def laplacian_spectrum(net: WeightedNetwork, method: str = "auto",
     sizes = tuple(len(c) for c in comps)
     if sizes[0] < 2:
         raise SingletonGraph("largest component has fewer than 2 nodes")
-    main = comps[0]
     mask = np.zeros(net.n, dtype=bool)
-    mask[main] = True
+    mask[comps[0]] = True
 
-    if method == "auto":
-        method = "dense" if net.n <= dense_cutoff else "lanczos"
-
-    if method == "dense":
-        L = net.laplacian()
-        eigenvalues = np.linalg.eigvalsh(L)
-        L_main = net.subnetwork(main).laplacian()
-        vals, vecs = np.linalg.eigh(L_main)
-        lambda2 = float(vals[1])
-        q2_main = vecs[:, 1]
-        lambda_n = float(eigenvalues[-1])
-        complete = True
-    elif method == "lanczos":
-        sub = net.subnetwork(main)
-        if len(main) < 8:
-            # too small for ARPACK's k < n constraint to pay off
-            vals, vecs = np.linalg.eigh(sub.laplacian())
-            lambda_n_main = float(vals[-1])
-        else:
-            vals, vecs, lambda_n_main = _lanczos_pair(
-                sub.laplacian(), k=min(6, len(main) - 2))
-        lambda2 = float(vals[1])
-        q2_main = vecs[:, 1]
-        # smallest eigenvalues of the full graph: zeros per extra component
-        eigenvalues = np.sort(np.concatenate([np.zeros(len(comps) - 1), vals]))
-        lambda_n = lambda_n_main
-        complete = False
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # project out any residual uniform contamination, then normalize
-    q2_main = q2_main - q2_main.mean()
-    q2_main /= np.linalg.norm(q2_main)
-    fiedler = np.zeros(net.n)
-    fiedler[main] = q2_main
-    fiedler = _orient(fiedler)
+    lcc = np.linalg.eigvalsh(_laplacian_block(net.W, comps[0]))
+    eigenvalues = lcc
+    if len(comps) > 1:
+        rest = np.linalg.eigvalsh(_laplacian_block(net.W, np.flatnonzero(~mask)))
+        eigenvalues = np.sort(np.concatenate([lcc, rest]))
     return SpectrumResult(
-        bank_ids=net.bank_ids,
+        network=net,
         eigenvalues=eigenvalues,
-        fiedler_vector=fiedler,
+        lcc_eigenvalues=lcc,
         component_sizes=sizes,
-        lambda2=lambda2,
-        lambda_n=lambda_n,
+        lambda2=float(lcc[1]),
+        lambda_n=float(eigenvalues[-1]),
         component_mask=mask,
-        complete=complete,
-        method=method,
     )
 
 
 def count_zero_eigenvalues(spectrum: SpectrumResult) -> int:
-    """Eigenvalues below the connectivity tolerance (dense path only)."""
+    """Eigenvalues below the connectivity tolerance."""
     tol = ZERO_TOL * max(1.0, spectrum.lambda_n)
     return int(np.sum(np.abs(spectrum.eigenvalues) < tol))
 
@@ -235,8 +201,8 @@ def eigenvalues_csv_text(spectrum: SpectrumResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def algebraic_connectivity(net: WeightedNetwork, method: str = "auto") -> float:
-    return laplacian_spectrum(net, method=method).lambda2
+def algebraic_connectivity(net: WeightedNetwork) -> float:
+    return laplacian_spectrum(net).lambda2
 
 
 def fiedler_partition(spectrum: SpectrumResult) -> tuple[set, set]:
@@ -356,9 +322,8 @@ def _betweenness(net: WeightedNetwork) -> np.ndarray:
     return np.array([bc[i] for i in range(net.n)])
 
 
-def _eigenvector_centrality(W: np.ndarray) -> np.ndarray:
-    """Principal eigenvector of the weighted adjacency, unit 2-norm, >= 0."""
-    vals, vecs = np.linalg.eigh(W)
+def _eigenvector_centrality(vecs: np.ndarray) -> np.ndarray:
+    """Principal adjacency eigenvector (last column of ``eigh``), unit 2-norm, >= 0."""
     v = vecs[:, -1]
     if v.sum() < 0:
         v = -v
@@ -371,37 +336,40 @@ def _freeman(values: np.ndarray, max_sum: float) -> float:
     return float((values.max() - values).sum() / max_sum)
 
 
-def topology_report(net: WeightedNetwork, ks: Sequence[int] = (3, 5, 10)) -> TopologyReport:
+def topology_report(net: WeightedNetwork, spectrum: SpectrumResult | None = None,
+                    ks: Sequence[int] = (3, 5, 10)) -> TopologyReport:
     """All topology metrics, computed on the largest connected component.
 
-    Betweenness uses weighted shortest paths with length 1/w; the
-    centralization entries are Freeman centralizations against the star of
-    the same size. Raises TooSmall below 3 nodes.
+    lambda2, lambda_n and the effective resistance come from the largest
+    component's eigenvalues in ``spectrum`` (computed here when not given;
+    it must be ``net``'s); spectral radius and eigenvector centrality from
+    one ``eigh`` of that component's adjacency. Betweenness uses weighted
+    shortest paths with length 1/w; the centralization entries are Freeman
+    centralizations against the star of the same size. Raises TooSmall
+    below 3 nodes.
     """
-    comps = net.components()
-    sub = net.subnetwork(comps[0])
-    m = sub.n
+    if spectrum is None:
+        spectrum = laplacian_spectrum(net)
+    m = spectrum.component_sizes[0]
     if m < 3:
         raise TooSmall("largest component must have >= 3 nodes")
+    sub = net.subnetwork(np.flatnonzero(spectrum.component_mask))
 
     d = sub.weighted_degrees()
     shares = {k: top_k_share(d, k) for k in ks if k <= m}
     cr3 = top_k_share(d, 3)
 
-    L = sub.laplacian()
-    lap_vals = np.linalg.eigvalsh(L)
-    lambda2 = float(lap_vals[1])
-    lambda_n = float(lap_vals[-1])
+    lap_vals = spectrum.lcc_eigenvalues
     # n * sum of reciprocal nonzero eigenvalues, not the per-pair Kirchhoff form
     effective_resistance = float(m * np.sum(1.0 / lap_vals[1:]))
-    adj_vals = np.linalg.eigvalsh(sub.W)
+    adj_vals, adj_vecs = np.linalg.eigh(sub.W)
     spectral_radius = float(np.abs(adj_vals).max())
 
     assort, assort_def = weighted_degree_assortativity(sub)
 
     deg_unweighted = (sub.W > 0).sum(axis=1).astype(float)
     bc = _betweenness(sub)
-    ec = _eigenvector_centrality(sub.W)
+    ec = _eigenvector_centrality(adj_vecs)
     star_ec_center = 1.0 / math.sqrt(2.0)
     star_ec_leaf = 1.0 / math.sqrt(2.0 * (m - 1))
     centralization = {
@@ -419,8 +387,8 @@ def topology_report(net: WeightedNetwork, ks: Sequence[int] = (3, 5, 10)) -> Top
         assortativity=assort,
         assortativity_defined=assort_def,
         spectral_radius=spectral_radius,
-        lambda_n=lambda_n,
-        spectral_gap=lambda2,
+        lambda_n=float(lap_vals[-1]),
+        spectral_gap=float(lap_vals[1]),
         effective_resistance=effective_resistance,
         weighted_avg_degree=float(d.mean()),
         centralization=centralization,

@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,14 @@ import numpy as np
 
 from .contagion import DiffusionParams, critical_distance, effective_decay, kappa_ratio
 from .errors import ContagionLabError
-from .graph import TopologyReport, build_network, laplacian_spectrum, topology_report
+from .graph import (
+    SpectrumResult,
+    TopologyReport,
+    WeightedNetwork,
+    build_network,
+    laplacian_spectrum,
+    topology_report,
+)
 from .ingest import BankPanel, BankRecord, assign_treatment, panel_csv_text
 from .reconstruct import (
     FixedRatio,
@@ -108,9 +115,21 @@ def run_config_from_json(d: dict) -> RunConfig:
 
 # --- per-year analysis -------------------------------------------------------------
 
+def network_spectrum(assets: Sequence[float] | np.ndarray, method: ReconstructionConfig,
+                     bank_ids: Sequence[str] | None = None
+                     ) -> tuple[WeightedNetwork, SpectrumResult]:
+    """Reconstruct exposures, threshold them into a network, decompose it once."""
+    exposures = reconstruct_exposures(assets, method, bank_ids)
+    net = build_network(exposures, method.min_edge_threshold)
+    return net, laplacian_spectrum(net)
+
+
 @dataclass(frozen=True)
 class YearReport:
-    """One year's connectivity, decay parameters, and topology."""
+    """One year's connectivity, decay parameters, and topology.
+
+    ``spectrum`` is kept for the eigenvalue CSV and is not serialized.
+    """
 
     year: int
     n_banks: int
@@ -120,6 +139,7 @@ class YearReport:
     lambda_n: float
     n_components: int
     topology: TopologyReport
+    spectrum: SpectrumResult = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,11 +156,8 @@ class YearReport:
 
 def year_report(year: int, assets: np.ndarray, bank_ids: Sequence[str],
                 cfg: RunConfig) -> YearReport:
-    exposures = reconstruct_exposures(assets, cfg.method, bank_ids)
-    net = build_network(exposures, cfg.method.min_edge_threshold)
-    spectrum = laplacian_spectrum(net)
-    params = cfg.params()
-    k_eff = effective_decay(spectrum.lambda2, params)
+    net, spectrum = network_spectrum(assets, cfg.method, bank_ids)
+    k_eff = effective_decay(spectrum.lambda2, cfg.params())
     return YearReport(
         year=year,
         n_banks=len(assets),
@@ -149,7 +166,8 @@ def year_report(year: int, assets: np.ndarray, bank_ids: Sequence[str],
         d_star=critical_distance(k_eff, cfg.d_star_epsilon),
         lambda_n=spectrum.lambda_n,
         n_components=spectrum.n_components(),
-        topology=topology_report(net),
+        topology=topology_report(net, spectrum),
+        spectrum=spectrum,
     )
 
 
@@ -185,7 +203,7 @@ def cross_year_summary(reports: Sequence[YearReport]) -> dict:
     return summary
 
 
-def analyze_panel(panel: BankPanel, cfg: RunConfig) -> dict:
+def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
     """Reconstruction -> network -> spectrum -> decay -> topology, per year."""
     years = list(cfg.years) if cfg.years else list(panel.years)
     for yr in years:
@@ -201,14 +219,19 @@ def analyze_panel(panel: BankPanel, cfg: RunConfig) -> dict:
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(one, years))
-    else:
-        reports = [one(y) for y in years]
+            return list(pool.map(one, years))
+    return [one(y) for y in years]
 
+
+def analyze_results(reports: Sequence[YearReport]) -> dict:
     return {
         "years": [r.to_json_dict() for r in reports],
         "summary": cross_year_summary(reports),
     }
+
+
+def analyze_panel(panel: BankPanel, cfg: RunConfig) -> dict:
+    return analyze_results(year_reports(panel, cfg))
 
 
 # --- ratio sweep --------------------------------------------------------------------
@@ -229,15 +252,8 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
     def one(job: tuple[int, float]) -> float:
         year, rho = job
         _, assets = panel.assets_for_year(year)
-        method = ReconstructionConfig(
-            method=cfg.method.method,
-            ratio_rule=FixedRatio(rho),
-            fitness_alpha=cfg.method.fitness_alpha,
-            min_edge_threshold=cfg.method.min_edge_threshold,
-        )
-        exposures = reconstruct_exposures(assets, method)
-        net = build_network(exposures, method.min_edge_threshold)
-        return laplacian_spectrum(net).lambda2
+        method = replace(cfg.method, ratio_rule=FixedRatio(rho))
+        return network_spectrum(assets, method)[1].lambda2
 
     jobs = [(year, rho) for year in years for rho in rhos]
     if cfg.workers > 1:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -477,16 +476,15 @@ def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
             break
         load = r + c
         i = int(np.argmax(load))
-        if r[i] >= c[i]:
-            cand = all_idx[(c > tol) & (all_idx != i)]
-            if len(cand) == 0:
-                raise InfeasibleMarginals("no admissible counterparty remains")
-            a, b = i, int(cand[np.argmax(load[cand])])
-        else:
-            cand = all_idx[(r > tol) & (all_idx != i)]
-            if len(cand) == 0:
-                raise InfeasibleMarginals("no admissible counterparty remains")
-            a, b = int(cand[np.argmax(load[cand])]), i
+        lends = r[i] >= c[i]
+        cand = all_idx[((c if lends else r) > tol) & (all_idx != i)]
+        if len(cand) == 0:
+            # what is left may be round-off within the tolerance ExposureMatrix checks
+            if max(np.abs(r).max(), np.abs(c).max()) <= MARGINAL_RTOL * A.max():
+                break
+            raise InfeasibleMarginals("no admissible counterparty remains")
+        j = int(cand[np.argmax(load[cand])])
+        a, b = (i, j) if lends else (j, i)
         others = all_idx[(all_idx != a) & (all_idx != b)]
         amount = min(r[a], c[b])
         if len(others):
@@ -544,6 +542,3 @@ def reconstruct_exposures(assets: Sequence[float] | np.ndarray,
         return min_density(A, L, bank_ids)
     raise ValueError(f"unknown method {cfg.method!r}")
 
-
-def exposure_json_text(exposures: ExposureMatrix) -> str:
-    return json.dumps(exposures.to_json_dict(), sort_keys=True)

@@ -25,9 +25,10 @@ from .errors import (
     TooFewPoints,
     ZeroVariance,
 )
-from .graph import build_network, laplacian_spectrum, WeightedNetwork
+from .graph import laplacian_spectrum, WeightedNetwork
 from .ingest import TreatmentAssignment
-from .reconstruct import ReconstructionConfig, reconstruct_exposures
+from .pipeline import network_spectrum
+from .reconstruct import ReconstructionConfig
 
 
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -70,9 +71,7 @@ class BootstrapResult:
 
 
 def _lambda2_pipeline(assets: np.ndarray, cfg: ReconstructionConfig) -> float:
-    exposures = reconstruct_exposures(assets, cfg)
-    net = build_network(exposures, cfg.min_edge_threshold)
-    return laplacian_spectrum(net).lambda2
+    return network_spectrum(assets, cfg)[1].lambda2
 
 
 def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
@@ -206,19 +205,20 @@ def placebo_null(net: WeightedNetwork, n_draws: int = 1000,
     the percentile of the observed lambda2 within it; a tie flag is set
     when every draw equals the observed value (e.g. all weights equal).
     """
-    edges = net.edges()
-    if len(edges) < 2:
+    iu, ju = np.triu_indices(net.n, k=1)
+    edge = net.W[iu, ju] > 0
+    iu, ju = iu[edge], ju[edge]
+    weights = net.W[iu, ju]
+    if len(weights) < 2:
         raise InsufficientData("need at least 2 edges to shuffle")
     observed = laplacian_spectrum(net).lambda2
-    weights = np.array([w for _, _, w in edges])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     null = np.empty(n_draws)
     for d in range(n_draws):
         shuffled = rng.permutation(weights)
         W = np.zeros_like(net.W)
-        for (i, j, _), w in zip(edges, shuffled):
-            W[i, j] = w
-            W[j, i] = w
+        W[iu, ju] = shuffled
+        W[ju, iu] = shuffled
         null[d] = laplacian_spectrum(WeightedNetwork(net.bank_ids, W)).lambda2
     percentile = float(100.0 * np.mean(null <= observed))
     tied = bool(np.all(null == observed))

@@ -22,7 +22,6 @@ from contagion_lab.contagion import (
 from contagion_lab.errors import (
     DimensionMismatch,
     Disconnected,
-    ForcingNotSupported,
     InvalidEpsilon,
     NonPositiveLambda2,
 )
@@ -202,18 +201,6 @@ class TestSolveDiffusion:
         net = k2()
         with pytest.raises(DimensionMismatch):
             solve_diffusion(net, DiffusionParams(), [1.0, 0.0, 0.0], 1.0)
-
-    def test_nonzero_forcing_rejected(self):
-        net = k2()
-        params = DiffusionParams(forcing={("a", 0.0): 1.0})
-        with pytest.raises(ForcingNotSupported):
-            solve_diffusion(net, params, [1.0, 0.0], 1.0)
-
-    def test_zero_forcing_map_accepted(self):
-        net = k2()
-        params = DiffusionParams(forcing={("a", 0.0): 0.0})
-        out = solve_diffusion(net, params, [1.0, 0.0], 0.5)
-        assert out.t == 0.5
 
     def test_distress_state_input(self):
         net = k2()

@@ -262,6 +262,42 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["results"]["rhos"] == pytest.approx([0.02, 0.04, 0.06])
 
+    def test_sweep_default_grid_without_flags_or_config(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(10, [2018, 2021], seed=2, log_sigma=0.5))
+        r = run_cli("sweep", "--input", str(panel), "--epsilon", "0",
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert payload["results"]["rhos"] == pytest.approx(np.linspace(0.01, 0.10, 10))
+        assert payload["config"]["ratio_sweep"] == pytest.approx([0.01, 0.10, 10])
+
+    def test_eigenvalue_csv_is_complete_spectrum_at_150_banks(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(150, [2018], seed=11))
+        r = run_cli("analyze", "--input", str(panel), "--eigenvalues-csv",
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        years = json.loads((tmp_path / "analyze.json").read_text())["results"]["years"]
+        for rep in years:
+            lines = (tmp_path / f"eigenvalues_{rep['year']}.csv").read_text().splitlines()
+            assert len(lines) == 151
+            values = [float(line.split(",")[1]) for line in lines[1:]]
+            assert values == sorted(values)
+            assert values[-1] == rep["lambda_n"]
+
+    def test_bootstrap_reruns_byte_identical_at_300_banks(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(300, [2023], seed=5))
+        texts = []
+        for run in ("a", "b"):
+            r = run_cli("bootstrap", "--input", str(panel), "-B", "20", "--seed", "7",
+                        "--epsilon", "0", "--output-dir", str(tmp_path / run))
+            assert r.returncode == 0, r.stderr
+            payload = json.loads((tmp_path / run / "bootstrap.json").read_text())
+            texts.append(dump_json(payload["results"]))
+        assert texts[0] == texts[1]
+
     def test_env_var_output_dir(self, tmp_path):
         import os
         panel = tmp_path / "panel.csv"

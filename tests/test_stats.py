@@ -159,6 +159,22 @@ class TestPlaceboNull:
         assert len(res.null_lambda2) == 10
         assert not res.tied
 
+    def test_null_matches_per_edge_reference_loop(self):
+        # reference: the per-edge rebuild, drawing one permutation per draw
+        net = random_connected_network(16, 14, p=0.3)
+        edges = net.edges()
+        weights = np.array([w for _, _, w in edges])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=21))
+        reference = np.empty(40)
+        for d in range(40):
+            W = np.zeros_like(net.W)
+            for (i, j, _), w in zip(edges, rng.permutation(weights)):
+                W[i, j] = w
+                W[j, i] = w
+            reference[d] = laplacian_spectrum(WeightedNetwork(net.bank_ids, W)).lambda2
+        res = placebo_null(net, n_draws=40, seed=21)
+        assert np.array_equal(res.null_lambda2, reference)
+
 
 class TestFitDistributions:
     def test_closed_form_alpha_three_points(self):

@@ -24,7 +24,7 @@ from . import pipeline
 from .errors import (EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE,
                      ContagionLabError, MissingColumn)
 from .graph import build_network, eigenvalues_csv_text
-from .ingest import balanced_panel, load_panel
+from .ingest import BankPanel, balanced_panel, load_panel
 from .pipeline import (
     OUTPUT_DIR_ENV,
     RunConfig,
@@ -247,6 +247,8 @@ def cmd_did(args) -> int:
         return EXIT_USAGE
     base_year = int(base_year)
     panel = _load(cfg)
+    years = set(pipeline.requested_years(panel, cfg))
+    panel = BankPanel(tuple(r for r in panel.records if r.year in years))
     outcomes = None
     if args.outcome_column != "total_assets":
         outcomes = {}

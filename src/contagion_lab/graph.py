@@ -15,13 +15,17 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import solve_triangular
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DegenerateVector, NonPositiveLambda2, SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
 
 #: Eigenvalues below ZERO_TOL * max(1, lambda_n) count as zero.
 ZERO_TOL = 1e-6
+
+#: Two shortest-path lengths within TIE_RTOL of each other (relative) tie.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -311,15 +315,41 @@ def weighted_degree_assortativity(net: WeightedNetwork) -> tuple[float, bool]:
 
 
 def _betweenness(net: WeightedNetwork) -> np.ndarray:
-    """Normalized betweenness with edge lengths 1/w (networkx Brandes)."""
-    import networkx as nx
+    """Normalized betweenness with edge lengths 1/w (Brandes 2001).
 
-    G = nx.Graph()
-    G.add_nodes_from(range(net.n))
-    for i, j, w in net.edges():
-        G.add_edge(i, j, length=1.0 / w)
-    bc = nx.betweenness_centrality(G, weight="length", normalized=True)
-    return np.array([bc[i] for i in range(net.n)])
+    Distances come from Dijkstra. For each source s the tight edges u -> v,
+    |d[s,u] + 1/w_uv - d[s,v]| <= TIE_RTOL * d[s,v], form the shortest-path
+    DAG; in distance order its adjacency A is strictly upper triangular, so
+    the path counts solve (I - A^T) sigma = e_s and the dependencies
+    delta = sigma * x - 1 with (I - A) x = 1 / sigma. Pairs in different
+    components contribute nothing; the sum over sources is divided by
+    (n - 1)(n - 2), as networkx normalizes undirected graphs.
+    """
+    n = net.n
+    bc = np.zeros(n)
+    if n <= 2:
+        return bc
+    iu, ju = np.nonzero(net.W)  # both orientations of every edge
+    length = 1.0 / net.W[iu, ju]
+    dist = dijkstra(sp.csr_matrix((length, (iu, ju)), shape=(n, n)))
+    pos = np.empty(n, dtype=np.intp)
+    for s in range(n):
+        d = dist[s]
+        reach = np.isfinite(d)
+        r = int(reach.sum())
+        order = np.argsort(d, kind="stable")[:r]
+        pos[order] = np.arange(r)
+        e = reach[iu]
+        u, v, le = iu[e], ju[e], length[e]
+        tight = (pos[u] < pos[v]) & (np.abs(d[u] + le - d[v]) <= TIE_RTOL * d[v])
+        M = np.zeros((r, r))  # I - A; the unit diagonal is implied
+        M[pos[u[tight]], pos[v[tight]]] = -1.0
+        e_s = np.zeros(r)
+        e_s[0] = 1.0
+        sigma = solve_triangular(M, e_s, trans="T", unit_diagonal=True)
+        x = solve_triangular(M, 1.0 / sigma, unit_diagonal=True)
+        bc[order[1:]] += sigma[1:] * x[1:] - 1.0
+    return bc / ((n - 1) * (n - 2))
 
 
 def _eigenvector_centrality(vecs: np.ndarray) -> np.ndarray:

@@ -203,12 +203,21 @@ def cross_year_summary(reports: Sequence[YearReport]) -> dict:
     return summary
 
 
-def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
-    """Reconstruction -> network -> spectrum -> decay -> topology, per year."""
+def requested_years(panel: BankPanel, cfg: RunConfig) -> list[int]:
+    """``cfg.years``, or every panel year when none is configured.
+
+    A configured year the panel lacks raises ContagionLabError (exit 4).
+    """
     years = list(cfg.years) if cfg.years else list(panel.years)
     for yr in years:
         if yr not in panel.years:
             raise ContagionLabError(f"requested year {yr} not in panel")
+    return years
+
+
+def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
+    """Reconstruction -> network -> spectrum -> decay -> topology, per year."""
+    years = requested_years(panel, cfg)
 
     def one(year: int) -> YearReport:
         ids, assets = panel.assets_for_year(year)
@@ -247,7 +256,7 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
         raise ValueError("ratio_sweep is not configured")
     lo, hi, steps = cfg.ratio_sweep
     rhos = [lo] if steps == 1 or lo == hi else list(np.linspace(lo, hi, steps))
-    years = list(cfg.years) if cfg.years else list(panel.years)
+    years = requested_years(panel, cfg)
 
     def one(job: tuple[int, float]) -> float:
         year, rho = job

@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
-from scipy.stats import norm as norm_dist
+from scipy.special import fdtrc, ndtr
 
 from .errors import (
     CollinearDesign,
@@ -346,7 +345,7 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
 
     # densities conditioned on x >= x_min
     ll_pl = (math.log(alpha - 1) - math.log(x_min)) - alpha * np.log(tail / x_min)
-    ln_tailmass = max(1.0 - norm_dist.cdf((math.log(x_min) - mu) / sigma), 1e-300)
+    ln_tailmass = max(1.0 - ndtr((math.log(x_min) - mu) / sigma), 1e-300)
     ll_ln = (-np.log(tail * sigma * math.sqrt(2 * math.pi))
              - (log_tail - mu) ** 2 / (2 * sigma ** 2)
              - math.log(ln_tailmass))
@@ -355,15 +354,15 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
     sd = float(diffs.std(ddof=0))
     if sd > 0:
         vuong = float(math.sqrt(m) * diffs.mean() / sd)
-        p_value = float(2.0 * norm_dist.sf(abs(vuong)))
+        p_value = float(2.0 * ndtr(-abs(vuong)))
     else:
         vuong = 0.0
         p_value = 1.0
 
     cdf_pl = 1.0 - (tail / x_min) ** (1.0 - alpha)
     ks_pl = _ks_statistic(tail, cdf_pl)
-    cdf_ln_raw = norm_dist.cdf((log_tail - mu) / sigma)
-    cdf_ln_at_min = norm_dist.cdf((math.log(x_min) - mu) / sigma)
+    cdf_ln_raw = ndtr((log_tail - mu) / sigma)
+    cdf_ln_at_min = ndtr((math.log(x_min) - mu) / sigma)
     cdf_ln = (cdf_ln_raw - cdf_ln_at_min) / ln_tailmass
     ks_ln = _ks_statistic(tail, cdf_ln)
     cdf_exp = 1.0 - np.exp(-exp_rate * (tail - x_min))
@@ -455,7 +454,7 @@ def chow_test(series: Mapping[int, float], break_year: int) -> ChowResult:
         f_stat = 0.0 if num <= tiny else math.inf
     else:
         f_stat = max(num / den, 0.0)
-    p_value = float(f_dist.sf(f_stat, k, df2)) if math.isfinite(f_stat) else 0.0
+    p_value = float(fdtrc(k, df2, f_stat)) if math.isfinite(f_stat) else 0.0
     return ChowResult(
         break_candidate=break_year,
         f_stat=float(f_stat),

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_network, random_connected_network
 from contagion_lab.errors import SingletonGraph, TooSmall
 from contagion_lab.graph import (
     WeightedNetwork,
+    _betweenness,
     build_network,
     count_zero_eigenvalues,
     degree_sequence,
@@ -289,3 +291,70 @@ class TestTopologyReport:
         rep = topology_report(WeightedNetwork(tuple("abcde"), W))
         assert rep.n == 3
         assert rep.weighted_avg_degree == pytest.approx(2.0)
+
+
+def networkx_betweenness(net: WeightedNetwork) -> np.ndarray:
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(net.n))
+    for i, j, w in net.edges():
+        G.add_edge(i, j, length=1.0 / w)
+    bc = nx.betweenness_centrality(G, weight="length", normalized=True)
+    return np.array([bc[i] for i in range(net.n)])
+
+
+def lognormal_network(seed: int, n: int, density: float) -> WeightedNetwork:
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.lognormal(3.0, 0.8, (n, n)) * (rng.random((n, n)) < density), 1)
+    return WeightedNetwork(tuple(f"b{i}" for i in range(n)), W + W.T)
+
+
+def unit_network(n: int, pairs) -> WeightedNetwork:
+    W = np.zeros((n, n))
+    for i, j in pairs:
+        W[i, j] = W[j, i] = 1.0
+    return WeightedNetwork(tuple(f"b{i}" for i in range(n)), W)
+
+
+class TestBetweennessOracle:
+    """The Brandes kernel against networkx, edge lengths 1/w, normalized."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30),
+           st.sampled_from([1.0, 0.5, 0.15]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_lognormal_graphs(self, seed, n, density):
+        net = lognormal_network(seed, n, density)
+        np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
+                                   rtol=0, atol=1e-12)
+
+    def test_complete_lognormal_70(self):
+        net = lognormal_network(301, 70, 1.0)
+        np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("net", [
+        complete_network(6),
+        complete_network(5, w=3.0),
+        unit_network(7, [(0, k) for k in range(1, 7)]),
+        unit_network(6, [(k, (k + 1) % 6) for k in range(6)]),
+        unit_network(16, [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+                     + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]),
+    ], ids=["K6", "K5-w3", "star7", "cycle6", "grid4x4"])
+    def test_tie_heavy_graphs(self, net):
+        np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
+                                   rtol=0, atol=1e-12)
+
+    def test_isolated_node_and_second_component(self):
+        net = unit_network(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (5, 6), (6, 7)])
+        bc = _betweenness(net)
+        np.testing.assert_allclose(bc, networkx_betweenness(net), rtol=0, atol=1e-12)
+        assert bc[4] == 0.0 and bc[6] > 0.0
+
+    def test_round_off_tie_counts_both_paths(self):
+        # lengths 0.1 + 0.2 and 0.3 tie in exact arithmetic, but 0.1 + 0.2 rounds to
+        # 0.30000000000000004, so an exact comparison (networkx) misses it
+        W = np.array([[0.0, 10.0, 1.0 / 0.3],
+                      [10.0, 0.0, 5.0],
+                      [1.0 / 0.3, 5.0, 0.0]])
+        bc = _betweenness(WeightedNetwork(("s", "a", "t"), W))
+        np.testing.assert_allclose(bc, [0.0, 0.5, 0.0], rtol=0, atol=1e-15)

@@ -198,6 +198,33 @@ class TestCliCommands:
         assert payload["results"]["coefficients"]["treated_post2021"] == \
             pytest.approx(1.0, abs=1e-12)
 
+    def test_did_honors_years_flag_and_config(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(70, [2018, 2021, 2023], seed=11))
+        base = ("did", "--input", str(panel), "--base-year", "2018",
+                "--output-dir", str(tmp_path))
+        r = run_cli(*base)
+        assert r.returncode == 0, r.stderr
+        assert json.loads((tmp_path / "did.json").read_text())["results"]["n_obs"] == 210
+        r = run_cli(*base, "--years", "2018,2021")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "did.json").read_text())
+        assert payload["results"]["n_obs"] == 140
+        assert "treated_post2023" not in payload["results"]["coefficients"]
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input_path": str(panel), "years": [2018, 2023],
+                                        "output_dir": str(tmp_path)}))
+        r = run_cli("did", "--config", str(cfg_path), "--base-year", "2018")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "did.json").read_text())
+        assert payload["results"]["n_obs"] == 140
+        assert "treated_post2021" not in payload["results"]["coefficients"]
+
+        r = run_cli(*base, "--years", "2018,2019")
+        assert r.returncode == 4
+        assert r.stderr == "error: requested year 2019 not in panel\n"
+
     def test_missing_input_exit_code_and_message(self, tmp_path):
         r = run_cli("analyze", "--input", str(tmp_path / "nope.csv"),
                     "--output-dir", str(tmp_path))
@@ -319,3 +346,11 @@ class TestCliCommands:
         text = (tmp_path / "analyze.json").read_text()
         payload = json.loads(text)
         assert dump_json(payload) == text  # canonical form is stable
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_networkx():
+    code = ("import sys, contagion_lab.cli; "
+            "print([m for m in ('scipy.stats', 'networkx') if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

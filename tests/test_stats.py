@@ -228,6 +228,38 @@ class TestFitDistributions:
         assert fit.x_min > 1.0  # the scan moved past the lognormal body
 
 
+    @pytest.mark.parametrize("scan_xmin", [False, True])
+    def test_lognormal_terms_bit_identical_to_scipy_stats(self, scan_xmin):
+        # the fit calls scipy.special.ndtr; scipy.stats.norm is the reference
+        norm = pytest.importorskip("scipy.stats").norm
+        rng = np.random.default_rng(25)
+        body = rng.lognormal(0.5, 0.5, 300)
+        tail = 10.0 * (1.0 - rng.random(100)) ** (-1.0 / 1.5)
+        sample = np.concatenate([body, tail])
+        fit = fit_distributions(sample, scan_xmin=scan_xmin)
+
+        x_min, mu, sigma, alpha = fit.x_min, fit.lognormal_mu, fit.lognormal_sigma, fit.alpha_hat
+        t = np.sort(sample[sample >= x_min])
+        z_min = (math.log(x_min) - mu) / sigma
+        tailmass = max(1.0 - norm.cdf(z_min), 1e-300)
+        ll_pl = (math.log(alpha - 1) - math.log(x_min)) - alpha * np.log(t / x_min)
+        ll_ln = (-np.log(t * sigma * math.sqrt(2 * math.pi))
+                 - (np.log(t) - mu) ** 2 / (2 * sigma ** 2) - math.log(tailmass))
+        diffs = ll_pl - ll_ln
+        vuong = float(math.sqrt(len(t)) * diffs.mean() / float(diffs.std(ddof=0)))
+        cdf_ln = (norm.cdf((np.log(t) - mu) / sigma) - norm.cdf(z_min)) / tailmass
+        m = len(t)
+        ks_ln = float(max(np.abs(np.arange(1, m + 1) / m - cdf_ln).max(),
+                          np.abs(np.arange(0, m) / m - cdf_ln).max()))
+
+        assert fit.lr_pl_vs_ln == float(diffs.sum())
+        assert fit.vuong_stat == vuong
+        assert fit.p_value == float(2.0 * norm.sf(abs(vuong)))
+        assert fit.ks_lognormal == ks_ln
+        cdf_pl = 1.0 - (t / x_min) ** (1.0 - alpha)
+        assert fit.ks_stat == float(max(np.abs(np.arange(1, m + 1) / m - cdf_pl).max(),
+                                        np.abs(np.arange(0, m) / m - cdf_pl).max()))
+
 class TestChowTest:
     def test_perfectly_linear_series(self):
         series = {2018 + i: 5.0 + 2.0 * i for i in range(8)}
@@ -278,6 +310,18 @@ class TestChowTest:
         with pytest.raises(InsufficientData):
             chow_test({2018: 1.0, 2021: 2.0, 2023: 3.0}, 2024)
 
+
+    @pytest.mark.parametrize("series,break_year", [
+        ({2018 + i: 5.0 + 2.0 * i for i in range(8)}, 2021),  # f_stat == 0
+        ({2018: 2283.72, 2021: 2169.58, 2023: 1258.96}, 2021),
+        ({2018 + i: v for i, v in enumerate([1.0, 1.1, 0.9, 9.0, 9.1, 8.9])}, 2020),
+        ({2010 + i: float(v) for i, v in
+          enumerate(np.random.default_rng(26).normal(0.0, 1.0, 12))}, 2015),
+    ])
+    def test_p_value_bit_identical_to_scipy_stats(self, series, break_year):
+        f_dist = pytest.importorskip("scipy.stats").f
+        res = chow_test(series, break_year)
+        assert res.p_value == float(f_dist.sf(res.f_stat, *res.df))
 
 def simple_treatment(treated_ids, all_ids, base_year=2018):
     return TreatmentAssignment(

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .errors import (EXIT_IO, EXIT_MODEL, EXIT_OK, EXIT_USAGE,
-                     ContagionLabError, MissingColumn)
+from .errors import (EXIT_IO, EXIT_MODEL, EXIT_OK, ConfigError, ContagionLabError,
+                     MissingColumn)
 from .graph import build_network, eigenvalues_csv_text
 from .ingest import BankPanel, balanced_panel, load_panel
 from .pipeline import (
@@ -32,75 +32,34 @@ from .pipeline import (
     dump_json,
     ensure_writable,
     envelope,
+    from_json,
+    overlay,
     render_table,
-    run_config_from_json,
+    to_json,
 )
 from .reconstruct import (
-    DEFAULT_EDGE_THRESHOLD,
     FixedRatio,
     LinearLogRatio,
     RHO_SWEEP_RANGE,
-    ReconstructionConfig,
     SizeThresholdRatio,
     exposure_from_csv_text,
 )
 from .stats import bootstrap_lambda2, fit_distributions, permutation_test, placebo_null
 
 
-def _ratio_rule_from_args(args) -> "FixedRatio | SizeThresholdRatio | LinearLogRatio":
-    if getattr(args, "size_dependent", False):
-        return SizeThresholdRatio()
-    if getattr(args, "linear_log", False):
-        return LinearLogRatio()
-    return FixedRatio(rho=getattr(args, "rho", 0.05))
-
-
 def _build_run_config(args) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    cfg = run_config_from_json(base)
-
-    # command-line flags override the config file
-    overrides = {}
-    if getattr(args, "input", None):
-        overrides["input_path"] = args.input
-    if getattr(args, "output_dir", None):
-        overrides["output_dir"] = args.output_dir
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        overrides["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-    if getattr(args, "years", None):
-        overrides["years"] = tuple(int(y) for y in args.years.split(","))
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "workers", None):
-        overrides["workers"] = args.workers
-    if getattr(args, "balanced", False):
-        overrides["balanced"] = True
-    if getattr(args, "delimiter", None):
-        overrides["delimiter"] = args.delimiter
-    if getattr(args, "d_coeff", None) is not None:
-        overrides["diffusion_D"] = args.d_coeff
-    if getattr(args, "kappa", None) is not None:
-        overrides["diffusion_kappa"] = args.kappa
-    if getattr(args, "sweep_min", None) is not None:
-        overrides["ratio_sweep"] = (args.sweep_min, args.sweep_max, args.sweep_steps)
-
-    rule_flags = (getattr(args, "rho", None) is not None
-                  or getattr(args, "size_dependent", False)
-                  or getattr(args, "linear_log", False))
-    if rule_flags or getattr(args, "method", None) \
-            or getattr(args, "epsilon", None) is not None \
-            or getattr(args, "fitness_alpha", None) is not None:
-        overrides["method"] = ReconstructionConfig(
-            method=getattr(args, "method", None) or cfg.method.method,
-            ratio_rule=_ratio_rule_from_args(args) if rule_flags else cfg.method.ratio_rule,
-            fitness_alpha=getattr(args, "fitness_alpha", None) or cfg.method.fitness_alpha,
-            min_edge_threshold=args.epsilon if getattr(args, "epsilon", None) is not None
-            else cfg.method.min_edge_threshold,
-        )
-    return replace(cfg, **overrides) if overrides else cfg
+    """The ``--config`` file (or the defaults) with every given flag laid over it;
+    ``CONTAGION_LAB_OUTPUT_DIR`` stands in for an absent ``--output-dir``."""
+    doc = {}
+    if args.config:
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+    cfg = from_json(RunConfig, doc)
+    flags = {"output_dir": os.environ.get(OUTPUT_DIR_ENV) or None,
+             **{name: v for name, v in vars(args).items() if v is not None}}
+    return overlay(cfg, flags)
 
 
 def _load(cfg: RunConfig):
@@ -133,7 +92,7 @@ def cmd_analyze(args) -> int:
         for r in reports:
             atomic_write_text(Path(cfg.output_dir) / f"eigenvalues_{r.year}.csv",
                               eigenvalues_csv_text(r.spectrum))
-    payload = envelope("analyze", cfg.to_json_dict(), results)
+    payload = envelope("analyze", to_json(cfg), results)
     rows = [
         (r["year"], r["n_banks"], r["lambda2"], r["kappa_eff"], r["d_star"])
         for r in results["years"]
@@ -148,12 +107,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_run_config(args)
+    slots = zip(cfg.ratio_sweep or (*RHO_SWEEP_RANGE, 10),
+                (args.sweep_min, args.sweep_max, args.sweep_steps))
+    cfg = overlay(cfg, {"ratio_sweep": tuple(s if flag is None else flag for s, flag in slots)})
     ensure_writable(cfg.output_dir)
-    if cfg.ratio_sweep is None:
-        cfg = replace(cfg, ratio_sweep=(*RHO_SWEEP_RANGE, 10))
     panel = _load(cfg)
     results = pipeline.sweep_ratios(panel, cfg)
-    payload = envelope("sweep", cfg.to_json_dict(), results)
+    payload = envelope("sweep", to_json(cfg), results)
     rows = []
     for rho in results["rhos"]:
         row = [rho] + [results["lambda2"][str(y)][repr(float(rho))] for y in results["years"]]
@@ -170,18 +130,16 @@ def cmd_bootstrap(args) -> int:
     panel = _load(cfg)
     year = args.year if args.year is not None else panel.years[-1]
     _, assets = panel.assets_for_year(year)
-    section = cfg.bootstrap or {}
-    B = args.B if args.B is not None else int(section.get("B", 100))
-    level = args.level if args.level is not None else float(section.get("level", 0.95))
-    seed = args.seed if args.seed is not None else int(section.get("seed", cfg.seed))
-    result = bootstrap_lambda2(assets, cfg.method, B=B, level=level,
-                               seed=seed, workers=cfg.workers)
+    if cfg.bootstrap.seed is None:
+        cfg = replace(cfg, bootstrap=replace(cfg.bootstrap, seed=cfg.seed))
+    result = bootstrap_lambda2(assets, cfg.method, B=cfg.bootstrap.B, level=cfg.bootstrap.level,
+                               seed=cfg.bootstrap.seed, workers=cfg.workers)
     results = {"year": year, **result.to_json_dict()}
-    payload = envelope("bootstrap", cfg.to_json_dict(), results)
+    payload = envelope("bootstrap", to_json(cfg), results)
     table = render_table(
         ["year", "point", "ci_low", "ci_high", "B_eff"],
         [(year, result.point, result.ci_low, result.ci_high, result.B_effective)],
-        title=f"Bootstrap lambda2 (level={level})",
+        title=f"Bootstrap lambda2 (level={cfg.bootstrap.level})",
     )
     _emit(cfg.output_dir, "bootstrap", payload, table, args.table)
     return EXIT_OK
@@ -210,7 +168,7 @@ def cmd_permute(args) -> int:
     t_obs = float(np.mean(va) - np.mean(vb))
     results = {"group_a": ga, "group_b": gb, "n_a": len(va), "n_b": len(vb),
                "t_obs": t_obs, "n_perm": args.n_perm, "p_value": p}
-    payload = envelope("permute", cfg.to_json_dict(), results)
+    payload = envelope("permute", to_json(cfg), results)
     table = render_table(["groups", "T_obs", "p_value"],
                          [(f"{ga} vs {gb}", t_obs, p)], title="Permutation test")
     _emit(cfg.output_dir, "permute", payload, table, args.table)
@@ -222,10 +180,9 @@ def cmd_placebo(args) -> int:
     ensure_writable(cfg.output_dir)
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         exposures = exposure_from_csv_text(fh.read())
-    net = build_network(exposures, args.epsilon if args.epsilon is not None
-                        else DEFAULT_EDGE_THRESHOLD)
+    net = build_network(exposures, cfg.method.min_edge_threshold)
     result = placebo_null(net, n_draws=args.n_draws, seed=cfg.seed)
-    payload = envelope("placebo", cfg.to_json_dict(), result.to_json_dict())
+    payload = envelope("placebo", to_json(cfg), result.to_json_dict())
     table = render_table(
         ["observed", "null_mean", "percentile", "tied"],
         [(result.observed, float(np.mean(result.null_lambda2)),
@@ -239,13 +196,8 @@ def cmd_placebo(args) -> int:
 def cmd_did(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
-    section = cfg.did or {}
-    base_year = args.base_year if args.base_year is not None else section.get("base_year")
-    quantile = args.quantile if args.quantile is not None else float(section.get("quantile", 0.75))
-    if base_year is None:
-        sys.stderr.write("error: --base-year is required (flag or config)\n")
-        return EXIT_USAGE
-    base_year = int(base_year)
+    if cfg.did.base_year is None:
+        raise ConfigError("--base-year is required (flag or config)")
     panel = _load(cfg)
     years = set(pipeline.requested_years(panel, cfg))
     panel = BankPanel(tuple(r for r in panel.records if r.year in years))
@@ -261,16 +213,16 @@ def cmd_did(args) -> int:
                 val = float(row[args.outcome_column])
                 outcomes[key] = math.log(val) if args.log else val
     result, treatment = pipeline.did_from_panel(
-        panel, base_year=base_year, quantile=quantile,
+        panel, base_year=cfg.did.base_year, quantile=cfg.did.quantile,
         log_outcome=args.log, outcomes=outcomes,
     )
     results = {
-        "base_year": base_year,
-        "quantile": quantile,
+        "base_year": cfg.did.base_year,
+        "quantile": cfg.did.quantile,
         "n_treated": len(treatment.treated_ids()),
         **result.to_json_dict(),
     }
-    payload = envelope("did", cfg.to_json_dict(), results)
+    payload = envelope("did", to_json(cfg), results)
     rows = [(term, result.coefficients[term], result.clustered_se[term])
             for term in sorted(result.coefficients) if term.startswith("treated_post")]
     table = render_table(["term", "coef", "clustered_se"], rows,
@@ -299,7 +251,7 @@ def cmd_fit(args) -> int:
                 except ValueError:
                     continue  # header or stray text
     result = fit_distributions(values, x_min=args.x_min, scan_xmin=args.scan_xmin)
-    payload = envelope("fit", cfg.to_json_dict(), result.to_json_dict())
+    payload = envelope("fit", to_json(cfg), result.to_json_dict())
     label = {"lognormal": "Lognormal", "power_law": "Power law",
              "inconclusive": "Inconclusive"}[result.best_fit]
     table = render_table(
@@ -315,11 +267,10 @@ def cmd_fit(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _build_run_config(args)
-    years = [int(y) for y in args.years.split(",")]
     text = pipeline.synth_panel_csv(
-        args.n, years, seed=cfg.seed, log_mean=args.log_mean,
+        args.n, cfg.years or (2018, 2021, 2023), seed=cfg.seed, log_mean=args.log_mean,
         log_sigma=args.log_sigma, treated_shrink=args.shrink,
-        shrink_from_year=args.shrink_from, treat_quantile=args.quantile,
+        shrink_from_year=args.shrink_from, treat_quantile=args.treat_quantile,
         noise_sigma=args.noise,
     )
     out = Path(args.out) if args.out else Path(cfg.output_dir) / "synthetic_panel.csv"
@@ -329,10 +280,23 @@ def cmd_synth(args) -> int:
 
 
 # --- parser --------------------------------------------------------------------
+# A flag's ``dest`` names the config field it sets, and such a flag defaults to
+# None; flags that set no field (``--table``, ``--year``, ...) are read by commands.
+
+def _year_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(y) for y in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated years, got {text!r}") from None
+
+
+def _fixed_ratio(text: str) -> FixedRatio:
+    return FixedRatio(float(text))
+
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
-        p.add_argument("--input", help="input CSV path")
+        p.add_argument("--input", dest="input_path", help="input CSV path")
     p.add_argument("--config", help="JSON config file; flags override")
     p.add_argument("--output-dir", dest="output_dir", help="report directory")
     p.add_argument("--seed", type=int, default=None)
@@ -343,20 +307,21 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
 
 def _add_method(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=["max_entropy", "kde", "fitness", "min_density"])
-    p.add_argument("--rho", type=float, default=None, help="fixed interbank ratio")
-    p.add_argument("--size-dependent", action="store_true", dest="size_dependent",
-                   help="3%%/7%% ratios split at the 75th size percentile")
-    p.add_argument("--linear-log", action="store_true", dest="linear_log",
-                   help="ratio 0.08 - 0.03*ln(T/mean)")
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--rho", type=_fixed_ratio, dest="ratio_rule", help="fixed interbank ratio")
+    rule.add_argument("--size-dependent", action="store_const", const=SizeThresholdRatio(),
+                      dest="ratio_rule",
+                      help="3%%/7%% ratios split at the 75th size percentile")
+    rule.add_argument("--linear-log", action="store_const", const=LinearLogRatio(),
+                      dest="ratio_rule", help="ratio 0.08 - 0.03*ln(T/mean)")
     p.add_argument("--fitness-alpha", type=float, default=None, dest="fitness_alpha")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=float, dest="min_edge_threshold",
                    help="edge threshold in millions")
-    p.add_argument("--balanced", action="store_true",
+    p.add_argument("--balanced", action="store_true", default=None,
                    help="restrict to banks present in every year")
-    p.add_argument("--years", default=None, help="comma-separated year filter")
-    p.add_argument("--d-coeff", type=float, default=None, dest="d_coeff",
-                   help="diffusion coefficient D")
-    p.add_argument("--kappa", type=float, default=None, help="intrinsic decay rate")
+    p.add_argument("--years", type=_year_list, help="comma-separated year filter")
+    p.add_argument("--d-coeff", type=float, dest="diffusion_D", help="diffusion coefficient D")
+    p.add_argument("--kappa", type=float, dest="diffusion_kappa", help="intrinsic decay rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method(p)
     p.add_argument("--sweep-min", type=float, default=None, dest="sweep_min")
     p.add_argument("--sweep-max", type=float, default=None, dest="sweep_max")
-    p.add_argument("--sweep-steps", type=int, default=10, dest="sweep_steps")
+    p.add_argument("--sweep-steps", type=int, default=None, dest="sweep_steps")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bootstrap", help="bank-resampling CI for lambda2")
@@ -398,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("placebo", help="edge-weight shuffle null for lambda2")
     _add_common(p)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, dest="min_edge_threshold",
+                   help="edge threshold in millions")
     p.add_argument("--n-draws", type=int, default=1000, dest="n_draws")
     p.set_defaults(func=cmd_placebo)
 
@@ -410,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     log_group = p.add_mutually_exclusive_group()
     log_group.add_argument("--log", dest="log", action="store_true", default=True)
     log_group.add_argument("--no-log", dest="log", action="store_false")
-    p.add_argument("--balanced", action="store_true")
-    p.add_argument("--years", default=None)
+    p.add_argument("--balanced", action="store_true", default=None)
+    p.add_argument("--years", type=_year_list)
     p.set_defaults(func=cmd_did)
 
     p = sub.add_parser("fit", help="power law vs lognormal tail comparison")
@@ -424,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a deterministic synthetic panel")
     _add_common(p, with_input=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--years", default="2018,2021,2023")
+    p.add_argument("--years", type=_year_list, help="default: 2018,2021,2023")
     p.add_argument("--log-mean", type=float, default=11.0, dest="log_mean")
     p.add_argument("--log-sigma", type=float, default=1.0, dest="log_sigma")
     p.add_argument("--shrink", type=float, default=0.0,
                    help="treated-bank shrink fraction from --shrink-from on")
     p.add_argument("--shrink-from", type=int, default=2021, dest="shrink_from")
-    p.add_argument("--quantile", type=float, default=0.75)
+    p.add_argument("--quantile", type=float, default=0.75, dest="treat_quantile")
     p.add_argument("--noise", type=float, default=0.02)
     p.add_argument("--out", default=None, help="output CSV (default: output dir)")
     p.set_defaults(func=cmd_synth)

@@ -17,6 +17,12 @@ class ContagionLabError(Exception):
     exit_code = EXIT_MODEL
 
 
+class ConfigError(ContagionLabError, ValueError):
+    """A config file or flag value is malformed or out of range."""
+
+    exit_code = EXIT_USAGE
+
+
 # --- panel ingestion ---------------------------------------------------------
 
 class MalformedRow(ContagionLabError):

@@ -12,14 +12,15 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .contagion import DiffusionParams, critical_distance, effective_decay, kappa_ratio
-from .errors import ContagionLabError
+from .errors import ConfigError, ContagionLabError
 from .graph import (
     SpectrumResult,
     TopologyReport,
@@ -30,10 +31,11 @@ from .graph import (
 )
 from .ingest import BankPanel, BankRecord, assign_treatment, panel_csv_text
 from .reconstruct import (
+    RATIO_RULES,
     FixedRatio,
+    RatioRule,
     ReconstructionConfig,
     reconstruct_exposures,
-    reconstruction_config_from_json,
 )
 
 SCHEMA_VERSION = 1
@@ -43,6 +45,23 @@ OUTPUT_DIR_ENV = "CONTAGION_LAB_OUTPUT_DIR"
 # --- configuration ---------------------------------------------------------------
 
 @dataclass(frozen=True)
+class BootstrapSection:
+    """Bootstrap parameters; ``seed=None`` means the run's ``seed``."""
+
+    B: int = 100
+    level: float = 0.95
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
+class DidSection:
+    """DID parameters; ``did`` needs ``base_year`` from a flag or the config."""
+
+    base_year: int | None = None
+    quantile: float = 0.75
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline command needs, JSON-loadable, flags win."""
 
@@ -50,8 +69,8 @@ class RunConfig:
     years: tuple[int, ...] = ()
     method: ReconstructionConfig = field(default_factory=ReconstructionConfig)
     ratio_sweep: tuple[float, float, int] | None = None  # (min, max, steps)
-    bootstrap: dict | None = None   # {"B": int, "level": float, "seed": int}
-    did: dict | None = None         # {"base_year": int, "quantile": float}
+    bootstrap: BootstrapSection = field(default_factory=BootstrapSection)
+    did: DidSection = field(default_factory=DidSection)
     output_dir: str = "."
     seed: int = 0
     diffusion_D: float = 1.0
@@ -65,52 +84,90 @@ class RunConfig:
         if self.ratio_sweep is not None:
             lo, hi, steps = self.ratio_sweep
             if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
-                raise ValueError("ratio sweep bounds must lie in (0, 1)")
+                raise ConfigError("ratio sweep bounds must lie in (0, 1)")
             if lo > hi:
-                raise ValueError("ratio sweep min must be <= max")
+                raise ConfigError("ratio sweep min must be <= max")
             if steps < 1:
-                raise ValueError("ratio sweep needs at least 1 step")
+                raise ConfigError("ratio sweep needs at least 1 step")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
     def params(self) -> DiffusionParams:
         return DiffusionParams(D=self.diffusion_D, kappa=self.diffusion_kappa)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "input_path": self.input_path,
-            "years": list(self.years),
-            "method": self.method.to_json_dict(),
-            "ratio_sweep": list(self.ratio_sweep) if self.ratio_sweep else None,
-            "bootstrap": self.bootstrap,
-            "did": self.did,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "diffusion_D": self.diffusion_D,
-            "diffusion_kappa": self.diffusion_kappa,
-            "d_star_epsilon": self.d_star_epsilon,
-            "balanced": self.balanced,
-            "delimiter": self.delimiter,
-            "workers": self.workers,
-        }
+
+def to_json(obj):
+    """The JSON form of a config: dataclasses as objects, tuples as lists."""
+    if is_dataclass(obj):
+        out = {"kind": obj.kind} if isinstance(obj, RatioRule) else {}
+        return out | {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_json(v) for v in obj]
+    return obj
 
 
-def run_config_from_json(d: dict) -> RunConfig:
-    return RunConfig(
-        input_path=d.get("input_path", ""),
-        years=tuple(d.get("years", ())),
-        method=(reconstruction_config_from_json(d["method"])
-                if "method" in d else ReconstructionConfig()),
-        ratio_sweep=tuple(d["ratio_sweep"]) if d.get("ratio_sweep") else None,
-        bootstrap=d.get("bootstrap"),
-        did=d.get("did"),
-        output_dir=d.get("output_dir", "."),
-        seed=d.get("seed", 0),
-        diffusion_D=d.get("diffusion_D", 1.0),
-        diffusion_kappa=d.get("diffusion_kappa", 0.0),
-        d_star_epsilon=d.get("d_star_epsilon", 0.1),
-        balanced=d.get("balanced", False),
-        delimiter=d.get("delimiter", ","),
-        workers=d.get("workers", 1),
-    )
+def from_json(tp, value, key: str = ""):
+    """The inverse of ``to_json``: a ``tp`` (a config dataclass) from JSON.
+
+    A missing or null key takes the field's default; an int is accepted as
+    a float. An unknown key or a value of the wrong JSON type raises
+    ConfigError naming the key; the classes' own checks raise it too.
+    """
+    if get_origin(tp) is UnionType:  # X | None; a null never gets here
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+    if tp is RatioRule or is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _fail(key, f"expected object, got {type(value).__name__}")
+        if tp is RatioRule:
+            value = dict(value)
+            tp = RATIO_RULES.get(str(value.pop("kind", None)))
+            if tp is None:
+                raise _fail(_join(key, "kind"), f"expected one of {sorted(RATIO_RULES)}")
+        hints = get_type_hints(tp)
+        unknown = sorted(value.keys() - hints.keys())
+        if unknown:
+            raise _fail(_join(key, unknown[0]), "unknown key")
+        return tp(**{name: from_json(hints[name], v, _join(key, name))
+                     for name, v in value.items() if v is not None})
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise _fail(key, f"expected list, got {type(value).__name__}")
+        items = get_args(tp)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) != len(items):
+            raise _fail(key, f"expected {len(items)} items, got {len(value)}")
+        return tuple(from_json(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if tp is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, tp) or isinstance(value, bool) != (tp is bool):
+        raise _fail(key, f"expected {tp.__name__}, got {type(value).__name__}")
+    return value
+
+
+def overlay(obj, flags: dict):
+    """``obj`` with each non-None ``flags[name]`` set on every field ``name``.
+
+    The walk enters each field that holds a dataclass, unless the flag of
+    its name holds one (a ratio rule): ``method`` sets ``method.method``,
+    ``seed`` sets ``seed`` and ``bootstrap.seed``.
+    """
+    changes = {}
+    for f in fields(obj):
+        value, new = getattr(obj, f.name), flags.get(f.name)
+        if is_dataclass(value) and not is_dataclass(new):
+            new = overlay(value, flags)
+        if new is not None:
+            changes[f.name] = new
+    return replace(obj, **changes)
+
+
+def _join(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
+
+
+def _fail(key: str, message: str) -> ConfigError:
+    return ConfigError(f"config key {key!r}: {message}" if key else f"config: {message}")
 
 
 # --- per-year analysis -------------------------------------------------------------

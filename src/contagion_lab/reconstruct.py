@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateBandwidth,
     InfeasibleMarginals,
     InvalidRatio,
@@ -48,25 +49,21 @@ class RatioRule:
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FixedRatio(RatioRule):
+    kind = "fixed"
     rho: float = DEFAULT_RHO
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         return np.full(len(assets), self.rho, dtype=float)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "fixed", "rho": self.rho}
 
 
 @dataclass(frozen=True)
 class SizeThresholdRatio(RatioRule):
     """Low ratio above the asset size quantile, high ratio below."""
 
+    kind = "size_threshold"
     rho_large: float = 0.03
     rho_small: float = 0.07
     size_quantile: float = 0.75
@@ -75,23 +72,17 @@ class SizeThresholdRatio(RatioRule):
         cutoff = np.quantile(assets, self.size_quantile)
         return np.where(assets > cutoff, self.rho_large, self.rho_small).astype(float)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "size_threshold", "rho_large": self.rho_large,
-                "rho_small": self.rho_small, "size_quantile": self.size_quantile}
-
 
 @dataclass(frozen=True)
 class LinearLogRatio(RatioRule):
     """rho_i = intercept + slope * ln(assets_i / mean assets)."""
 
+    kind = "linear_log"
     intercept: float = 0.08
     slope: float = -0.03
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * np.log(assets / assets.mean())
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "linear_log", "intercept": self.intercept, "slope": self.slope}
 
 
 @dataclass(frozen=True)
@@ -103,6 +94,7 @@ class TieredRatio(RatioRule):
     exceed. A (0.0, rho) entry is the catch-all bottom tier.
     """
 
+    kind = "tiered"
     tiers: tuple[tuple[float, float], ...] = ((0.9, 0.02), (0.5, 0.05), (0.0, 0.08))
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
@@ -116,22 +108,10 @@ class TieredRatio(RatioRule):
             assigned |= pick
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "tiered", "tiers": [list(t) for t in self.tiers]}
 
-
-def ratio_rule_from_json(d: dict) -> RatioRule:
-    kind = d["kind"]
-    if kind == "fixed":
-        return FixedRatio(rho=d["rho"])
-    if kind == "size_threshold":
-        return SizeThresholdRatio(rho_large=d["rho_large"], rho_small=d["rho_small"],
-                                  size_quantile=d["size_quantile"])
-    if kind == "linear_log":
-        return LinearLogRatio(intercept=d["intercept"], slope=d["slope"])
-    if kind == "tiered":
-        return TieredRatio(tiers=tuple((float(q), float(r)) for q, r in d["tiers"]))
-    raise ValueError(f"unknown ratio rule kind {kind!r}")
+#: Ratio rules by ``kind``, the tag that names each in a config file.
+RATIO_RULES = {rule.kind: rule for rule in
+               (FixedRatio, SizeThresholdRatio, LinearLogRatio, TieredRatio)}
 
 
 @dataclass(frozen=True)
@@ -145,25 +125,11 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         if self.method not in ("max_entropy", "kde", "fitness", "min_density"):
-            raise ValueError(f"unknown reconstruction method {self.method!r}")
+            raise ConfigError(f"unknown reconstruction method {self.method!r}")
         if self.method == "fitness" and not self.fitness_alpha > 0:
-            raise ValueError("fitness_alpha must be > 0")
+            raise ConfigError("fitness_alpha must be > 0")
         if self.min_edge_threshold < 0:
-            raise ValueError("min_edge_threshold must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {"method": self.method, "ratio_rule": self.ratio_rule.to_json_dict(),
-                "fitness_alpha": self.fitness_alpha,
-                "min_edge_threshold": self.min_edge_threshold}
-
-
-def reconstruction_config_from_json(d: dict) -> ReconstructionConfig:
-    return ReconstructionConfig(
-        method=d.get("method", "max_entropy"),
-        ratio_rule=ratio_rule_from_json(d["ratio_rule"]) if "ratio_rule" in d else FixedRatio(),
-        fitness_alpha=d.get("fitness_alpha", 1.0),
-        min_edge_threshold=d.get("min_edge_threshold", DEFAULT_EDGE_THRESHOLD),
-    )
+            raise ConfigError("min_edge_threshold must be >= 0")
 
 
 # --- exposure matrix ----------------------------------------------------------

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtrc, ndtr
 
 from .errors import (
     CollinearDesign,
@@ -305,6 +304,8 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
     scans candidate x_min values and keeps the one minimizing the
     power-law KS statistic (leaving at least ``min_tail`` points).
     """
+    from scipy.special import ndtr  # here, not at the top: no other CLI command loads it
+
     x = np.asarray(sample, dtype=float)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise NonPositiveSample("sample must be strictly positive and finite")
@@ -425,6 +426,8 @@ def chow_test(series: Mapping[int, float], break_year: int) -> ChowResult:
     intercept-only comparisons (flagged low power), which is the only
     estimable form on a 3-point series.
     """
+    from scipy.special import fdtrc
+
     years = np.array(sorted(series), dtype=float)
     y = np.array([series[int(t)] for t in years], dtype=float)
     n = len(years)

@@ -1,23 +1,36 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from contagion_lab.errors import ConfigError
 from contagion_lab.ingest import BankPanel, load_panel
 from contagion_lab.pipeline import (
+    BootstrapSection,
+    DidSection,
     RunConfig,
     analyze_panel,
     did_from_panel,
     dump_json,
-    run_config_from_json,
+    from_json,
+    overlay,
     sweep_ratios,
     synth_panel,
     synth_panel_csv,
+    to_json,
 )
-from contagion_lab.reconstruct import FixedRatio, ReconstructionConfig
+from contagion_lab.reconstruct import (
+    FixedRatio,
+    LinearLogRatio,
+    ReconstructionConfig,
+    SizeThresholdRatio,
+    TieredRatio,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -140,12 +153,46 @@ class TestSweep:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_RATIO_RULES = st.one_of(
+    st.builds(FixedRatio, rho=_UNIT),
+    st.builds(SizeThresholdRatio, rho_large=_UNIT, rho_small=_UNIT, size_quantile=_UNIT),
+    st.builds(LinearLogRatio, intercept=_FINITE, slope=_FINITE),
+    st.builds(TieredRatio, tiers=st.lists(st.tuples(_UNIT, _UNIT), min_size=1,
+                                          max_size=4).map(tuple)),
+)
+RUN_CONFIGS = st.builds(
+    RunConfig,
+    input_path=st.text(max_size=12),
+    years=st.lists(st.integers(1900, 2100), max_size=4).map(tuple),
+    method=st.builds(ReconstructionConfig,
+                     method=st.sampled_from(["max_entropy", "kde", "fitness", "min_density"]),
+                     ratio_rule=_RATIO_RULES,
+                     fitness_alpha=st.floats(min_value=1e-6, max_value=1e6),
+                     min_edge_threshold=st.floats(min_value=0.0, max_value=1e9)),
+    ratio_sweep=st.none() | st.tuples(_UNIT, _UNIT, st.integers(1, 100)).map(
+        lambda t: (min(t[:2]), max(t[:2]), t[2])),
+    bootstrap=st.builds(BootstrapSection, B=st.integers(1, 10_000), level=_UNIT,
+                        seed=st.none() | st.integers(0, 2**63)),
+    did=st.builds(DidSection, base_year=st.none() | st.integers(1900, 2100), quantile=_UNIT),
+    output_dir=st.text(max_size=12),
+    seed=st.integers(0, 2**63),
+    diffusion_D=_FINITE,
+    diffusion_kappa=_FINITE,
+    d_star_epsilon=_UNIT,
+    balanced=st.booleans(),
+    delimiter=st.sampled_from([",", ";", "\t", "|"]),
+    workers=st.integers(1, 64),
+)
+
+
 class TestRunConfig:
     def test_json_roundtrip(self):
         cfg = RunConfig(input_path="x.csv", years=(2018, 2023),
                         method=ZERO_EPS, ratio_sweep=(0.01, 0.1, 5),
                         seed=7, workers=2)
-        again = run_config_from_json(json.loads(json.dumps(cfg.to_json_dict())))
+        again = from_json(RunConfig, json.loads(json.dumps(to_json(cfg))))
         assert again == cfg
 
     def test_sweep_bounds_validated(self):
@@ -153,6 +200,77 @@ class TestRunConfig:
             RunConfig(ratio_sweep=(0.5, 0.2, 3))
         with pytest.raises(ValueError):
             RunConfig(ratio_sweep=(0.0, 0.2, 3))
+
+    def test_workers_validated(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                RunConfig(workers=workers)
+
+    @given(RUN_CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    def test_dump_json_roundtrip_property(self, cfg):
+        again = from_json(RunConfig, json.loads(dump_json(to_json(cfg))))
+        assert again == cfg
+        assert to_json(again) == to_json(cfg)
+
+    def test_envelope_format_loads_unchanged(self):
+        # an envelope ``config`` as written before the sections were typed
+        doc = {
+            "input_path": "p.csv", "years": [2018, 2023], "ratio_sweep": None,
+            "bootstrap": None, "did": None, "output_dir": "out", "seed": 3,
+            "diffusion_D": 1.0, "diffusion_kappa": 0.0, "d_star_epsilon": 0.1,
+            "balanced": False, "delimiter": ",", "workers": 1,
+            "method": {"method": "max_entropy", "fitness_alpha": 1.0,
+                       "min_edge_threshold": 0, "ratio_rule": {
+                           "kind": "tiered", "tiers": [[0.9, 0.02], [0.0, 0.08]]}},
+        }
+        cfg = from_json(RunConfig, doc)
+        assert cfg.years == (2018, 2023)
+        assert cfg.bootstrap == BootstrapSection() and cfg.did == DidSection()
+        assert cfg.method.ratio_rule == TieredRatio(((0.9, 0.02), (0.0, 0.08)))
+        assert type(cfg.method.min_edge_threshold) is float
+        sections = from_json(RunConfig, {"bootstrap": {"B": 20, "level": 0.9, "seed": 4},
+                                         "did": {"base_year": 2018, "quantile": 0.5}})
+        assert sections.bootstrap == BootstrapSection(B=20, level=0.9, seed=4)
+        assert sections.did == DidSection(base_year=2018, quantile=0.5)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"sed": 5}, "'sed'"),
+        ({"method": {"fitnes_alpha": 2.0}}, "'method.fitnes_alpha'"),
+        ({"bootstrap": {"B": 10, "replicates": 10}}, "'bootstrap.replicates'"),
+        ({"years": 2018}, "'years'"),
+        ({"years": [2018, "2021"]}, "'years[1]'"),
+        ({"seed": True}, "'seed'"),
+        ({"workers": 2.0}, "'workers'"),
+        ({"balanced": 1}, "'balanced'"),
+        ({"diffusion_D": "1"}, "'diffusion_D'"),
+        ({"ratio_sweep": [0.01, 0.1]}, "'ratio_sweep'"),
+        ({"ratio_sweep": [0.01, 0.1, 2.5]}, "'ratio_sweep[2]'"),
+        ({"bootstrap": 100}, "'bootstrap'"),
+        ({"method": {"ratio_rule": {"rho": 0.05}}}, "'method.ratio_rule.kind'"),
+        ({"method": {"ratio_rule": {"kind": "fixed", "rho_large": 0.05}}},
+         "'method.ratio_rule.rho_large'"),
+        ({"method": {"method": "nope"}}, "unknown reconstruction method 'nope'"),
+        ({"ratio_sweep": [0.5, 0.2, 3]}, "ratio sweep min must be <= max"),
+    ])
+    def test_malformed_config_names_the_key(self, doc, key):
+        with pytest.raises(ConfigError, match=re.escape(key)) as exc:
+            from_json(RunConfig, doc)
+        assert "\n" not in str(exc.value)
+
+    def test_overlay_sets_fields_by_name(self):
+        cfg = RunConfig(method=ReconstructionConfig(ratio_rule=SizeThresholdRatio()),
+                        bootstrap=BootstrapSection(seed=4), workers=2)
+        out = overlay(cfg, {"method": "kde", "seed": 9, "min_edge_threshold": 0.0,
+                            "B": 30, "workers": None, "table": True,
+                            "ratio_rule": FixedRatio(0.03)})
+        assert out.method == ReconstructionConfig(method="kde", ratio_rule=FixedRatio(0.03),
+                                                  min_edge_threshold=0.0)
+        assert out.seed == 9 and out.bootstrap == BootstrapSection(B=30, seed=9)
+        assert out.workers == 2
+        assert overlay(cfg, {"workers": None}) == cfg
+        with pytest.raises(ConfigError, match="fitness_alpha must be > 0"):
+            overlay(cfg, {"method": "fitness", "fitness_alpha": 0.0})
 
 
 class TestCliCommands:
@@ -299,6 +417,102 @@ class TestCliCommands:
         assert payload["results"]["rhos"] == pytest.approx(np.linspace(0.01, 0.10, 10))
         assert payload["config"]["ratio_sweep"] == pytest.approx([0.01, 0.10, 10])
 
+    def test_each_sweep_flag_sets_its_own_slot(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(10, [2018, 2021], seed=2, log_sigma=0.5))
+        base = ("sweep", "--input", str(panel), "--epsilon", "0")
+        r = run_cli(*base, "--sweep-min", "0.02", "--output-dir", str(tmp_path / "a"))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "a" / "sweep.json").read_text())
+        assert payload["config"]["ratio_sweep"] == [0.02, 0.1, 10]
+        assert payload["results"]["rhos"] == pytest.approx(np.linspace(0.02, 0.10, 10))
+
+        r = run_cli(*base, "--sweep-max", "0.05", "--sweep-steps", "3",
+                    "--output-dir", str(tmp_path / "b"))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "b" / "sweep.json").read_text())
+        assert payload["config"]["ratio_sweep"] == [0.01, 0.05, 3]
+        assert payload["results"]["rhos"] == pytest.approx([0.01, 0.03, 0.05])
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ratio_sweep": [0.02, 0.06, 3]}))
+        r = run_cli(*base, "--config", str(cfg_path), "--sweep-min", "0.04",
+                    "--output-dir", str(tmp_path / "c"))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "c" / "sweep.json").read_text())
+        assert payload["config"]["ratio_sweep"] == [0.04, 0.06, 3]
+        assert payload["results"]["rhos"] == pytest.approx([0.04, 0.05, 0.06])
+
+    def test_placebo_thresholds_at_the_configured_epsilon(self, tmp_path):
+        from contagion_lab.reconstruct import reconstruct_exposures
+        assets = [r.total_assets for r in synth_panel(20, [2018], seed=3, log_sigma=0.5)]
+        path = tmp_path / "exposures.csv"
+        path.write_text(reconstruct_exposures(assets, ReconstructionConfig()).to_csv_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"method": {"min_edge_threshold": 200.0}}))
+        observed = {}
+        for run, flags in {"config": ("--config", str(cfg_path)),
+                           "flag": ("--epsilon", "200"), "default": ()}.items():
+            r = run_cli("placebo", "--input", str(path), "--n-draws", "5",
+                        "--output-dir", str(tmp_path / run), *flags)
+            assert r.returncode == 0, r.stderr
+            payload = json.loads((tmp_path / run / "placebo.json").read_text())
+            observed[run] = payload["results"]["observed"]
+            assert payload["config"]["method"]["min_edge_threshold"] == \
+                (1.0 if run == "default" else 200.0)
+        assert observed["config"] == observed["flag"] != observed["default"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--method", "fitness", "--fitness-alpha", "0"), "fitness_alpha must be > 0"),
+        (("--workers", "0"), "workers must be >= 1"),
+        (("--workers", "-3"), "workers must be >= 1"),
+        (("--rho", "0.03", "--size-dependent"), "not allowed with argument"),
+        (("--linear-log", "--rho", "0.03"), "not allowed with argument"),
+        (("--years", "2018,x"), "comma-separated years"),
+    ])
+    def test_invalid_flags_exit_2(self, tmp_path, flags, message):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(8, [2018], seed=2, log_sigma=0.5))
+        r = run_cli("analyze", "--input", str(panel), "--output-dir", str(tmp_path), *flags)
+        assert r.returncode == 2
+        assert message in r.stderr.splitlines()[-1]
+        assert not (tmp_path / "analyze.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"sed": 5}', "error: config key 'sed': unknown key\n"),
+        ('{"years": 2018}', "error: config key 'years': expected list, got int\n"),
+        ('{"years": [2018,', "is not valid JSON"),
+    ])
+    def test_malformed_config_file_exit_2_one_line(self, tmp_path, text, message):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(8, [2018], seed=2, log_sigma=0.5))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        r = run_cli("analyze", "--input", str(panel), "--config", str(cfg_path),
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 2
+        assert message in r.stderr and r.stderr.count("\n") == 1
+
+    def test_envelope_config_reruns_byte_identical(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(12, [2018, 2021], seed=1, log_sigma=0.5))
+        runs = {"analyze": ("--epsilon", "0", "--rho", "0.04"),
+                "sweep": ("--sweep-max", "0.05", "--sweep-steps", "3", "--size-dependent"),
+                "bootstrap": ("-B", "12", "--level", "0.8", "--seed", "5"),
+                "did": ("--base-year", "2018", "--quantile", "0.5", "--years", "2018,2021")}
+        for command, flags in runs.items():
+            out = tmp_path / command
+            r = run_cli(command, "--input", str(panel), "--output-dir", str(out), *flags)
+            assert r.returncode == 0, r.stderr
+            first = json.loads((out / f"{command}.json").read_text())
+            cfg_path = tmp_path / f"{command}_config.json"
+            cfg_path.write_text(json.dumps(first["config"]))
+            r = run_cli(command, "--config", str(cfg_path))
+            assert r.returncode == 0, r.stderr
+            again = json.loads((out / f"{command}.json").read_text())
+            assert dump_json(again["results"]) == dump_json(first["results"]), command
+            assert again["config"] == first["config"], command
+
     def test_eigenvalue_csv_is_complete_spectrum_at_150_banks(self, tmp_path):
         panel = tmp_path / "panel.csv"
         panel.write_text(synth_panel_csv(150, [2018], seed=11))
@@ -349,8 +563,8 @@ class TestCliCommands:
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_networkx():
-    code = ("import sys, contagion_lab.cli; "
-            "print([m for m in ('scipy.stats', 'networkx') if m in sys.modules])")
+    code = ("import sys, contagion_lab.cli; print([m for m in "
+            "('scipy.stats', 'scipy.special', 'networkx') if m in sys.modules])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"

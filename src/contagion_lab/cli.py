@@ -421,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MODEL
+    except Exception as exc:  # a defect or an input no check foresaw: one line, no traceback
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_MODEL
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ class DiffusionParams:
     def __post_init__(self):
         if not self.D > 0:
             raise ValueError("D must be > 0")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be >= 0")
 
 

@@ -14,9 +14,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_triangular
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DegenerateVector, NonPositiveLambda2, SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
@@ -59,10 +56,26 @@ class WeightedNetwork:
         return np.diag(self.weighted_degrees()) - self.W
 
     def components(self) -> list[np.ndarray]:
-        """Connected components as index arrays, largest first."""
-        n_comp, labels = connected_components(sp.csr_matrix(self.W > 0),
-                                              directed=False)
-        comps = [np.flatnonzero(labels == k) for k in range(n_comp)]
+        """Connected components as sorted index arrays, largest first.
+
+        Breadth-first search from the lowest unvisited node numbers the
+        components by their lowest node; the stable sort by size keeps that
+        order among components of equal size.
+        """
+        adj = self.W > 0
+        unvisited = np.ones(self.n, dtype=bool)
+        comps = []
+        for start in range(self.n):
+            if not unvisited[start]:
+                continue
+            frontier = np.zeros(self.n, dtype=bool)
+            frontier[start] = True
+            comp = frontier.copy()
+            while frontier.any():
+                unvisited &= ~frontier
+                frontier = adj[frontier].any(axis=0) & unvisited
+                comp |= frontier
+            comps.append(np.flatnonzero(comp))
         comps.sort(key=len, reverse=True)
         return comps
 
@@ -300,15 +313,13 @@ def weighted_degree_assortativity(net: WeightedNetwork) -> tuple[float, bool]:
     (value, defined); undefined when endpoint degrees have no variance.
     """
     d = net.weighted_degrees()
-    edges = net.edges()
-    if not edges:
+    iu, ju = np.triu_indices(net.n, k=1)
+    mask = net.W[iu, ju] > 0
+    if not mask.any():
         return math.nan, False
-    xs, ys = [], []
-    for i, j, _ in edges:
-        xs.extend((d[i], d[j]))
-        ys.extend((d[j], d[i]))
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    i, j = iu[mask], ju[mask]
+    x = np.stack([d[i], d[j]], axis=1).ravel()
+    y = np.stack([d[j], d[i]], axis=1).ravel()
     if np.std(x) == 0 or np.std(y) == 0:
         return math.nan, False
     return float(np.corrcoef(x, y)[0, 1]), True
@@ -325,6 +336,11 @@ def _betweenness(net: WeightedNetwork) -> np.ndarray:
     components contribute nothing; the sum over sources is divided by
     (n - 1)(n - 2), as networkx normalizes undirected graphs.
     """
+    # scipy is imported here so that only topology pays for loading it
+    import scipy.sparse as sp
+    from scipy.linalg import solve_triangular
+    from scipy.sparse.csgraph import dijkstra
+
     n = net.n
     bc = np.zeros(n)
     if n <= 2:

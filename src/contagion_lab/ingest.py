@@ -61,10 +61,10 @@ class BankPanel:
             if key in seen:
                 raise DuplicateKey(f"duplicate bank-year pair {key}")
             seen.add(key)
-            if not math.isfinite(rec.total_assets) or rec.total_assets < 0:
+            if not 0.0 < rec.total_assets < math.inf:
                 raise MalformedRow(
                     f"bank {rec.bank_id!r} year {rec.year}: "
-                    f"total_assets={rec.total_assets!r} must be finite and >= 0"
+                    f"total_assets={rec.total_assets!r} must be finite and > 0"
                 )
         years = tuple(sorted({rec.year for rec in self.records}))
         if self.years and self.years != years:
@@ -114,8 +114,8 @@ def _parse_assets(raw: str | None, row_no: int) -> float:
         value = float(raw)
     except ValueError:
         raise MalformedRow(f"row {row_no}: unparseable total_assets {raw!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise MalformedRow(f"row {row_no}: total_assets {raw!r} must be finite and >= 0")
+    if not 0.0 < value < math.inf:
+        raise MalformedRow(f"row {row_no}: total_assets {raw!r} must be finite and > 0")
     return value
 
 

@@ -91,6 +91,14 @@ class RunConfig:
                 raise ConfigError("ratio sweep needs at least 1 step")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # written as "not ok" so that NaN, which fails every comparison, is rejected
+        if not 0.0 < self.diffusion_D < math.inf:
+            raise ConfigError(f"diffusion_D must be finite and > 0, got {self.diffusion_D!r}")
+        if not 0.0 <= self.diffusion_kappa < math.inf:
+            raise ConfigError(
+                f"diffusion_kappa must be finite and >= 0, got {self.diffusion_kappa!r}")
+        if not 0.0 < self.d_star_epsilon < 1.0:
+            raise ConfigError(f"d_star_epsilon must be in (0, 1), got {self.d_star_epsilon!r}")
 
     def params(self) -> DiffusionParams:
         return DiffusionParams(D=self.diffusion_D, kappa=self.diffusion_kappa)

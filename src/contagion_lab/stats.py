@@ -40,8 +40,8 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 class BootstrapResult:
     """Point estimate with percentile CI over bootstrap replicates.
 
-    CI bounds are order statistics of the replicate vector. B_effective
-    counts replicates that survived (degenerate resamples are skipped).
+    CI bounds are order statistics of the replicate vector. ``bootstrap_lambda2``
+    keeps every replicate, so B_effective equals B and n_degenerate is 0.
     """
 
     point: float
@@ -81,8 +81,9 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
     Each replicate draws n banks with replacement, re-runs the configured
     reconstruction and the Laplacian spectrum, and records lambda2. The
     percentile interval at ``level`` is read off the sorted replicates.
-    Replicates whose resample has zero total assets are skipped and
-    counted in ``n_degenerate``.
+    The point estimate needs strictly positive assets, so every resample
+    has a positive total; a replicate whose reconstruction or spectrum
+    fails aborts the run, and ``n_degenerate`` is always 0.
     """
     assets = np.asarray(assets, dtype=float)
     n = len(assets)
@@ -98,27 +99,20 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
     def one(b: int) -> float:
         rng = _replicate_rng(seed, b)
         idx = rng.integers(0, n, size=n)
-        sample = assets[idx]
-        if sample.sum() <= 0:
-            return math.nan
-        return _lambda2_pipeline(sample, cfg)
+        return _lambda2_pipeline(assets[idx], cfg)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(one, range(B)))
+            replicates = np.array(list(pool.map(one, range(B))))
     else:
-        raw = [one(b) for b in range(B)]
+        replicates = np.array([one(b) for b in range(B)])
 
-    replicates = np.array([v for v in raw if not math.isnan(v)])
-    n_degenerate = B - len(replicates)
-    if len(replicates) == 0:
-        raise InsufficientData("all bootstrap replicates were degenerate")
     alpha = (1.0 - level) / 2.0
     ci_low = float(np.quantile(replicates, alpha, method="lower"))
     ci_high = float(np.quantile(replicates, 1.0 - alpha, method="higher"))
     return BootstrapResult(point=point, replicates=replicates, ci_low=ci_low,
                            ci_high=ci_high, level=level, seed=seed, B=B,
-                           B_effective=len(replicates), n_degenerate=n_degenerate)
+                           B_effective=B)
 
 
 # --- permutation test ---------------------------------------------------------

@@ -43,6 +43,12 @@ class TestDecayArithmetic:
         with pytest.raises(NonPositiveLambda2):
             effective_decay(0.0, DiffusionParams())
 
+    def test_params_reject_nan(self):
+        with pytest.raises(ValueError, match="D must be"):
+            DiffusionParams(D=math.nan)
+        with pytest.raises(ValueError, match="kappa must be"):
+            DiffusionParams(kappa=math.nan)
+
     def test_monotonicity(self):
         base = effective_decay(100.0, DiffusionParams(D=1.0, kappa=0.5))
         assert effective_decay(150.0, DiffusionParams(D=1.0, kappa=0.5)) > base

@@ -17,6 +17,7 @@ from contagion_lab.graph import (
     hhi,
     laplacian_spectrum,
     topology_report,
+    weighted_degree_assortativity,
 )
 from contagion_lab.reconstruct import ExposureMatrix, max_entropy
 
@@ -240,6 +241,24 @@ class TestTopologyReport:
         rep = topology_report(star_network(5))
         assert rep.assortativity == pytest.approx(-1.0, abs=1e-9)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30),
+           st.sampled_from([1.0, 0.5, 0.15]))
+    @settings(max_examples=40, deadline=None)
+    def test_assortativity_matches_edge_loop(self, seed, n, density):
+        # the per-edge loop over ``edges()``, both orientations in edge order
+        net = lognormal_network(seed, n, density)
+        d = net.weighted_degrees()
+        xs, ys = [], []
+        for i, j, _ in net.edges():
+            xs.extend((d[i], d[j]))
+            ys.extend((d[j], d[i]))
+        value, defined = weighted_degree_assortativity(net)
+        if not xs or np.std(xs) == 0:
+            assert not defined and math.isnan(value)
+        else:
+            assert defined
+            assert value == float(np.corrcoef(xs, ys)[0, 1])  # bit for bit
+
     def test_k4_effective_resistance_closed_form(self, k4):
         # K_n eigenvalues are 0 and n (multiplicity n-1): n * (n-1)/n = n-1
         rep = topology_report(k4)
@@ -358,3 +377,56 @@ class TestBetweennessOracle:
                       [1.0 / 0.3, 5.0, 0.0]])
         bc = _betweenness(WeightedNetwork(("s", "a", "t"), W))
         np.testing.assert_allclose(bc, [0.0, 0.5, 0.0], rtol=0, atol=1e-15)
+
+
+def grouped_network(seed: int, n: int, n_groups: int, density: float) -> WeightedNetwork:
+    """Random edges only within randomly drawn node groups: a graph with
+    isolated nodes and, often, several components of the same size."""
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, n_groups, size=n)
+    keep = (rng.random((n, n)) < density) & (group[:, None] == group[None, :])
+    W = np.triu(rng.uniform(0.5, 2.0, (n, n)) * keep, 1)
+    return WeightedNetwork(tuple(f"b{i}" for i in range(n)), W + W.T)
+
+
+def scipy_components(net: WeightedNetwork) -> list[np.ndarray]:
+    """Components from scipy's connected_components, numbered by their lowest
+    node and stably sorted by size: the oracle for ``components``."""
+    sp = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, labels = connected_components(sp.csr_matrix(net.W > 0), directed=False)
+    comps = [np.flatnonzero(labels == k) for k in range(n_comp)]
+    comps.sort(key=len, reverse=True)
+    return comps
+
+
+class TestComponents:
+    def assert_same_as_scipy(self, net):
+        got, want = net.components(), scipy_components(net)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8),
+           st.sampled_from([1.0, 0.6, 0.2, 0.05]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_disconnected_graphs(self, seed, n, n_groups, density):
+        self.assert_same_as_scipy(grouped_network(seed, n, n_groups, density))
+
+    @pytest.mark.parametrize("net", [
+        complete_network(1),
+        complete_network(2),
+        complete_network(300),
+        unit_network(5, []),
+        unit_network(6, [(0, 3), (1, 4), (2, 5)]),
+        unit_network(9, [(8, 0), (7, 1), (6, 2), (6, 5)]),
+        unit_network(7, [(0, 6), (1, 2), (2, 3), (4, 5)]),
+    ], ids=["K1", "K2", "K300", "isolated5", "equal-pairs", "reversed", "mixed"])
+    def test_fixed_graphs(self, net):
+        self.assert_same_as_scipy(net)
+
+    def test_equal_sizes_keep_lowest_node_order(self):
+        comps = unit_network(6, [(1, 4), (0, 5), (2, 3)]).components()
+        assert [c.tolist() for c in comps] == [[0, 5], [1, 4], [2, 3]]

@@ -46,6 +46,15 @@ class TestLoadPanel:
                 "bank_id,year,total_assets\nA,2018,100\nB,2018,-5\n"
             ))
 
+    def test_zero_assets_rejected_like_reconstruction(self):
+        # reconstruction needs strictly positive assets, so ingest refuses a zero
+        with pytest.raises(MalformedRow, match="row 3.*> 0"):
+            load_panel(csv_stream(
+                "bank_id,year,total_assets\nA,2018,100\nB,2018,0\nC,2018,7\n"
+            ))
+        with pytest.raises(MalformedRow, match="'B' year 2018"):
+            BankPanel(records=(BankRecord("A", 2018, 1.0), BankRecord("B", 2018, 0.0)))
+
     def test_missing_assets_rejected(self):
         with pytest.raises(MalformedRow, match="missing total_assets"):
             load_panel(csv_stream("bank_id,year,total_assets\nA,2018,\n"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contagion_lab import cli
 from contagion_lab.errors import ConfigError
 from contagion_lab.ingest import BankPanel, load_panel
 from contagion_lab.pipeline import (
@@ -178,8 +179,8 @@ RUN_CONFIGS = st.builds(
     did=st.builds(DidSection, base_year=st.none() | st.integers(1900, 2100), quantile=_UNIT),
     output_dir=st.text(max_size=12),
     seed=st.integers(0, 2**63),
-    diffusion_D=_FINITE,
-    diffusion_kappa=_FINITE,
+    diffusion_D=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    diffusion_kappa=st.floats(min_value=0.0, allow_infinity=False),
     d_star_epsilon=_UNIT,
     balanced=st.booleans(),
     delimiter=st.sampled_from([",", ";", "\t", "|"]),
@@ -205,6 +206,17 @@ class TestRunConfig:
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 RunConfig(workers=workers)
+
+    @pytest.mark.parametrize("name, value", [
+        ("diffusion_D", 0.0), ("diffusion_D", -1.0), ("diffusion_D", math.nan),
+        ("diffusion_D", math.inf), ("diffusion_kappa", -0.5),
+        ("diffusion_kappa", math.nan), ("diffusion_kappa", math.inf),
+        ("d_star_epsilon", 0.0), ("d_star_epsilon", 1.0), ("d_star_epsilon", math.nan),
+        ("d_star_epsilon", math.inf),
+    ])
+    def test_diffusion_settings_validated(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: value})
 
     @given(RUN_CONFIGS)
     @settings(max_examples=60, deadline=None)
@@ -359,6 +371,25 @@ class TestCliCommands:
         r = run_cli("analyze", "--input", str(path), "--output-dir", str(tmp_path))
         assert r.returncode == 4
 
+    def test_zero_assets_rejected_at_ingest(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("bank_id,year,total_assets\n"
+                        "A,2018,120.5\nB,2018,0\nC,2018,80\nD,2018,45.25\n")
+        r = run_cli("analyze", "--input", str(path), "--output-dir", str(tmp_path))
+        assert r.returncode == 4
+        assert r.stderr == "error: row 3: total_assets '0' must be finite and > 0\n"
+        assert not (tmp_path / "analyze.json").exists()
+
+    def test_unexpected_exception_exit_4_one_line(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("bank_id")
+
+        monkeypatch.setattr(cli, "cmd_permute", broken)
+        code = cli.main(["permute", "--input", "x.csv", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "error: KeyError: 'bank_id'\n"  # one line, no traceback
+
     def test_permute_command(self, tmp_path):
         path = tmp_path / "groups.csv"
         rows = ["group,value"]
@@ -469,6 +500,9 @@ class TestCliCommands:
         (("--rho", "0.03", "--size-dependent"), "not allowed with argument"),
         (("--linear-log", "--rho", "0.03"), "not allowed with argument"),
         (("--years", "2018,x"), "comma-separated years"),
+        (("--d-coeff", "nan"), "diffusion_D must be finite and > 0, got nan"),
+        (("--d-coeff", "0"), "diffusion_D must be finite and > 0, got 0.0"),
+        (("--kappa", "-1"), "diffusion_kappa must be finite and >= 0, got -1.0"),
     ])
     def test_invalid_flags_exit_2(self, tmp_path, flags, message):
         panel = tmp_path / "panel.csv"
@@ -482,6 +516,10 @@ class TestCliCommands:
         ('{"sed": 5}', "error: config key 'sed': unknown key\n"),
         ('{"years": 2018}', "error: config key 'years': expected list, got int\n"),
         ('{"years": [2018,', "is not valid JSON"),
+        ('{"diffusion_D": NaN}', "error: diffusion_D must be finite and > 0, got nan\n"),
+        ('{"d_star_epsilon": 1e400}', "error: d_star_epsilon must be in (0, 1), got inf\n"),
+        ('{"diffusion_kappa": -0.1}',
+         "error: diffusion_kappa must be finite and >= 0, got -0.1\n"),
     ])
     def test_malformed_config_file_exit_2_one_line(self, tmp_path, text, message):
         panel = tmp_path / "panel.csv"
@@ -562,9 +600,27 @@ class TestCliCommands:
         assert dump_json(payload) == text  # canonical form is stable
 
 
+SCIPY_OR_NETWORKX = "[m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')]"
+
+
 def test_cli_import_loads_neither_scipy_stats_nor_networkx():
-    code = ("import sys, contagion_lab.cli; print([m for m in "
-            "('scipy.stats', 'scipy.special', 'networkx') if m in sys.modules])")
+    code = f"import sys, contagion_lab.cli; print({SCIPY_OR_NETWORKX})"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+
+
+def test_bootstrap_and_sweep_run_without_scipy(tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(synth_panel_csv(12, [2018, 2021], seed=4, log_sigma=0.8))
+    common = f"'--input', {str(panel)!r}, '--output-dir', {str(tmp_path)!r}"
+    code = ("import sys; from contagion_lab import cli\n"
+            f"assert cli.main(['bootstrap', {common}, '-B', '12']) == 0\n"
+            f"assert cli.main(['sweep', {common}, '--epsilon', '30', '--sweep-steps', '3']) == 0\n"
+            f"print({SCIPY_OR_NETWORKX})")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
+    sweep = json.loads((tmp_path / "sweep.json").read_text())["results"]
+    assert len(sweep["rhos"]) == 3
+    assert json.loads((tmp_path / "bootstrap.json").read_text())["results"]["B_effective"] == 12

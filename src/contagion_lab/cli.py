@@ -290,6 +290,12 @@ def _year_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated years, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _fixed_ratio(text: str) -> FixedRatio:
     return FixedRatio(float(text))
 
@@ -358,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--group-column", default="group")
     p.add_argument("--value-column", default="value")
-    p.add_argument("--n-perm", type=int, default=10_000, dest="n_perm")
+    p.add_argument("--n-perm", type=_positive_int, default=10_000, dest="n_perm")
     p.set_defaults(func=cmd_permute)
 
     p = sub.add_parser("placebo", help="edge-weight shuffle null for lambda2")
     _add_common(p)
     p.add_argument("--epsilon", type=float, dest="min_edge_threshold",
                    help="edge threshold in millions")
-    p.add_argument("--n-draws", type=int, default=1000, dest="n_draws")
+    p.add_argument("--n-draws", type=_positive_int, default=1000, dest="n_draws")
     p.set_defaults(func=cmd_placebo)
 
     p = sub.add_parser("did", help="difference-in-differences on the panel")

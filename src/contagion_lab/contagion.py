@@ -22,7 +22,7 @@ from .errors import (
     InvalidEpsilon,
     NonPositiveLambda2,
 )
-from .graph import WeightedNetwork, laplacian_spectrum
+from .graph import SpectrumResult, WeightedNetwork
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def dominance_share(lambda2: float, params: DiffusionParams) -> float:
     return root / (root + params.kappa)
 
 
-def solve_diffusion(net: WeightedNetwork, params: DiffusionParams,
+def solve_diffusion(spectrum: SpectrumResult, params: DiffusionParams,
                     u0: DistressState | Sequence[float] | np.ndarray,
                     t: float) -> DistressState:
     """Closed-form solution u(t) = Q exp(-(D*Lambda + kappa I) t) Q^T u(0).
@@ -122,43 +122,44 @@ def solve_diffusion(net: WeightedNetwork, params: DiffusionParams,
     Works on disconnected graphs too; mass within each component evolves
     independently.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    u_init = u0.u if isinstance(u0, DistressState) else np.asarray(u0, dtype=float)
-    if u_init.shape != (net.n,):
-        raise DimensionMismatch(f"u0 has shape {u_init.shape}, need ({net.n},)")
-    if t == 0:
-        return DistressState(u=u_init.copy(), t=0.0)
-    vals, vecs = np.linalg.eigh(net.laplacian())
-    damp = np.exp(-(params.D * vals + params.kappa) * t)
-    u_t = vecs @ (damp * (vecs.T @ u_init))
-    return DistressState(u=u_t, t=float(t))
+    u_init = u0.u if isinstance(u0, DistressState) else u0
+    return diffusion_trajectory(spectrum, params, u_init, [t])[0]
 
 
-def diffusion_trajectory(net: WeightedNetwork, params: DiffusionParams,
-                         u0: np.ndarray, times: Sequence[float]) -> list[DistressState]:
-    """States at several times, reusing one eigendecomposition."""
+def diffusion_trajectory(spectrum: SpectrumResult, params: DiffusionParams,
+                         u0: Sequence[float] | np.ndarray,
+                         times: Sequence[float]) -> list[DistressState]:
+    """States at several times, from the spectrum's cached eigenpairs.
+
+    Each Laplacian block (``spectrum.eigenpairs``) evolves on its own, as
+    no edge joins two blocks.
+    """
+    n = spectrum.network.n
     u_init = np.asarray(u0, dtype=float)
-    if u_init.shape != (net.n,):
-        raise DimensionMismatch(f"u0 has shape {u_init.shape}, need ({net.n},)")
-    vals, vecs = np.linalg.eigh(net.laplacian())
-    coef = vecs.T @ u_init
+    if u_init.shape != (n,):
+        raise DimensionMismatch(f"u0 has shape {u_init.shape}, need ({n},)")
+    if any(t < 0 for t in times):
+        raise ValueError("t must be >= 0")
+    blocks = [(idx, vals, vecs, vecs.T @ u_init[idx])
+              for idx, vals, vecs in spectrum.eigenpairs]
     out = []
     for t in times:
         if t == 0:
             out.append(DistressState(u=u_init.copy(), t=0.0))
             continue
-        damp = np.exp(-(params.D * vals + params.kappa) * float(t))
-        out.append(DistressState(u=vecs @ (damp * coef), t=float(t)))
+        u_t = np.empty(n)
+        for idx, vals, vecs, coef in blocks:
+            damp = np.exp(-(params.D * vals + params.kappa) * float(t))
+            u_t[idx] = vecs @ (damp * coef)
+        out.append(DistressState(u=u_t, t=float(t)))
     return out
 
 
-def temporal_decay_rate(net: WeightedNetwork, params: DiffusionParams) -> float:
+def temporal_decay_rate(spectrum: SpectrumResult, params: DiffusionParams) -> float:
     """Asymptotic non-uniform decay rate gamma = D * lambda2 + kappa.
 
     Requires a connected network; raises Disconnected otherwise.
     """
-    spectrum = laplacian_spectrum(net)
     if spectrum.n_components() > 1:
         raise Disconnected(
             f"network has {spectrum.n_components()} components; "
@@ -172,7 +173,7 @@ DECAY_GRID_POINTS = 20
 DECAY_GRID_SPAN = (0.01, 5.0)
 
 
-def fit_temporal_decay(net: WeightedNetwork, params: DiffusionParams,
+def fit_temporal_decay(spectrum: SpectrumResult, params: DiffusionParams,
                        source: int = 0) -> float:
     """Verification mode: fitted decay rate of the non-uniform residual.
 
@@ -181,29 +182,20 @@ def fit_temporal_decay(net: WeightedNetwork, params: DiffusionParams,
     Returns the fitted rate (positive); compare against
     :func:`temporal_decay_rate`.
     """
-    gamma = temporal_decay_rate(net, params)  # validates connectivity
-    n = net.n
+    gamma = temporal_decay_rate(spectrum, params)  # validates connectivity
+    n = spectrum.network.n
+    if not 0 <= source < n:
+        raise DimensionMismatch(f"source {source} outside [0, {n})")
     u0 = np.zeros(n)
     u0[source] = 1.0
     times = np.geomspace(DECAY_GRID_SPAN[0] / gamma, DECAY_GRID_SPAN[1] / gamma,
                          DECAY_GRID_POINTS)
     norms = []
-    for state in diffusion_trajectory(net, params, u0, times):
+    for state in diffusion_trajectory(spectrum, params, u0, times):
         resid = state.u - state.u.mean()
         norms.append(np.linalg.norm(resid))
     slope = np.polyfit(times, np.log(norms), 1)[0]
     return float(-slope)
-
-
-def trajectory_csv_text(net: WeightedNetwork, params: DiffusionParams,
-                        u0: Sequence[float] | np.ndarray,
-                        times: Sequence[float]) -> str:
-    """Long-format CSV (node, t, u) of a distress trajectory."""
-    lines = ["node,t,u"]
-    for state in diffusion_trajectory(net, params, np.asarray(u0, float), times):
-        for bank, value in zip(net.bank_ids, state.u):
-            lines.append(f"{bank},{state.t!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def cascade(net: WeightedNetwork, cfg: CascadeConfig) -> int:

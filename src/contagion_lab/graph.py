@@ -18,9 +18,6 @@ import numpy as np
 from .errors import DegenerateVector, NonPositiveLambda2, SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
 
-#: Eigenvalues below ZERO_TOL * max(1, lambda_n) count as zero.
-ZERO_TOL = 1e-6
-
 #: Two shortest-path lengths within TIE_RTOL of each other (relative) tie.
 TIE_RTOL = 1e-12
 
@@ -106,13 +103,13 @@ def build_network(exposures: ExposureMatrix, epsilon: float = 0.0) -> WeightedNe
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Complete Laplacian spectrum plus the Fiedler pair of the largest component.
+    """Complete Laplacian spectrum of one network, and its eigenpairs on demand.
 
     ``eigenvalues`` is the sorted union of the largest component's
     eigenvalues (kept in ``lcc_eigenvalues``) and those of the block of all
-    other nodes: the whole graph's spectrum. The Fiedler vector is computed
-    on first read, embedded in full length with zeros off the largest
-    component and its first nonzero entry oriented positive.
+    other nodes: the whole graph's spectrum. ``eigenpairs`` and the Fiedler
+    vector are computed on first read and cached, so every consumer of one
+    network shares one decomposition per block.
     """
 
     network: WeightedNetwork = field(repr=False)
@@ -129,9 +126,20 @@ class SpectrumResult:
         return self.network.bank_ids
 
     @cached_property
+    def eigenpairs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``(nodes, eigenvalues, eigenvectors)`` of each Laplacian block.
+
+        One ``eigh`` per block of ``laplacian_spectrum``: the largest
+        component first, then the other nodes when there are any.
+        """
+        return tuple((idx, *np.linalg.eigh(_laplacian_block(self.network.W, idx)))
+                     for idx in _blocks(self.component_mask))
+
+    @cached_property
     def fiedler_vector(self) -> np.ndarray:
-        main = np.flatnonzero(self.component_mask)
-        _, vecs = np.linalg.eigh(_laplacian_block(self.network.W, main))
+        """Second eigenvector of the largest component, embedded in full length
+        with zeros elsewhere and its first nonzero entry oriented positive."""
+        main, _, vecs = self.eigenpairs[0]
         # project out any residual uniform contamination, then normalize
         q2 = vecs[:, 1] - vecs[:, 1].mean()
         q2 /= np.linalg.norm(q2)
@@ -142,17 +150,6 @@ class SpectrumResult:
     def n_components(self) -> int:
         return len(self.component_sizes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bank_ids": list(self.bank_ids),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "fiedler_vector": [float(v) for v in self.fiedler_vector],
-            "component_sizes": list(self.component_sizes),
-            "lambda2": float(self.lambda2),
-            "lambda_n": float(self.lambda_n),
-            "method": self.method,
-        }
-
 
 def _orient(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip sign so the first entry exceeding tol in magnitude is positive."""
@@ -160,6 +157,17 @@ def _orient(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         if abs(x) > tol:
             return v if x > 0 else -v
     return v
+
+
+def _blocks(mask: np.ndarray) -> list[np.ndarray]:
+    """Node indices of the largest component, then of the other nodes if any.
+
+    No edge joins the two, so the Laplacian is block diagonal in them.
+    """
+    blocks = [np.flatnonzero(mask)]
+    if not mask.all():
+        blocks.append(np.flatnonzero(~mask))
+    return blocks
 
 
 def _laplacian_block(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -174,10 +182,10 @@ def _laplacian_block(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
     """Complete Laplacian spectrum with component bookkeeping.
 
-    No edge joins the largest connected component to the other nodes, so
-    the Laplacian is block diagonal and its spectrum is the union of the
-    two blocks' eigenvalues (one ``eigvalsh`` each). lambda2 is the largest
-    component's; SingletonGraph is raised if it has fewer than 2 nodes.
+    The spectrum is the union of the eigenvalues of the largest component's
+    block and of the other nodes' block (one ``eigvalsh`` each). lambda2 is
+    the largest component's; SingletonGraph is raised if it has fewer than
+    2 nodes.
     """
     if net.n < 2:
         raise SingletonGraph("need at least 2 nodes")
@@ -188,11 +196,8 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
     mask = np.zeros(net.n, dtype=bool)
     mask[comps[0]] = True
 
-    lcc = np.linalg.eigvalsh(_laplacian_block(net.W, comps[0]))
-    eigenvalues = lcc
-    if len(comps) > 1:
-        rest = np.linalg.eigvalsh(_laplacian_block(net.W, np.flatnonzero(~mask)))
-        eigenvalues = np.sort(np.concatenate([lcc, rest]))
+    lcc, *rest = [np.linalg.eigvalsh(_laplacian_block(net.W, idx)) for idx in _blocks(mask)]
+    eigenvalues = np.sort(np.concatenate([lcc, *rest])) if rest else lcc
     return SpectrumResult(
         network=net,
         eigenvalues=eigenvalues,
@@ -202,12 +207,6 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
         lambda_n=float(eigenvalues[-1]),
         component_mask=mask,
     )
-
-
-def count_zero_eigenvalues(spectrum: SpectrumResult) -> int:
-    """Eigenvalues below the connectivity tolerance."""
-    tol = ZERO_TOL * max(1.0, spectrum.lambda_n)
-    return int(np.sum(np.abs(spectrum.eigenvalues) < tol))
 
 
 def eigenvalues_csv_text(spectrum: SpectrumResult) -> str:
@@ -382,24 +381,20 @@ def _freeman(values: np.ndarray, max_sum: float) -> float:
     return float((values.max() - values).sum() / max_sum)
 
 
-def topology_report(net: WeightedNetwork, spectrum: SpectrumResult | None = None,
-                    ks: Sequence[int] = (3, 5, 10)) -> TopologyReport:
-    """All topology metrics, computed on the largest connected component.
+def topology_report(spectrum: SpectrumResult, ks: Sequence[int] = (3, 5, 10)) -> TopologyReport:
+    """All topology metrics of ``spectrum.network``, on its largest component.
 
     lambda2, lambda_n and the effective resistance come from the largest
-    component's eigenvalues in ``spectrum`` (computed here when not given;
-    it must be ``net``'s); spectral radius and eigenvector centrality from
-    one ``eigh`` of that component's adjacency. Betweenness uses weighted
-    shortest paths with length 1/w; the centralization entries are Freeman
-    centralizations against the star of the same size. Raises TooSmall
-    below 3 nodes.
+    component's eigenvalues in ``spectrum``; spectral radius and eigenvector
+    centrality from one ``eigh`` of that component's adjacency. Betweenness
+    uses weighted shortest paths with length 1/w; the centralization entries
+    are Freeman centralizations against the star of the same size. Raises
+    TooSmall below 3 nodes.
     """
-    if spectrum is None:
-        spectrum = laplacian_spectrum(net)
     m = spectrum.component_sizes[0]
     if m < 3:
         raise TooSmall("largest component must have >= 3 nodes")
-    sub = net.subnetwork(np.flatnonzero(spectrum.component_mask))
+    sub = spectrum.network.subnetwork(np.flatnonzero(spectrum.component_mask))
 
     d = sub.weighted_degrees()
     shares = {k: top_k_share(d, k) for k in ks if k <= m}

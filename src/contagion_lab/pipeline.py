@@ -24,7 +24,6 @@ from .errors import ConfigError, ContagionLabError
 from .graph import (
     SpectrumResult,
     TopologyReport,
-    WeightedNetwork,
     build_network,
     laplacian_spectrum,
     topology_report,
@@ -51,6 +50,12 @@ class BootstrapSection:
     B: int = 100
     level: float = 0.95
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.B < 10:
+            raise ConfigError(f"bootstrap B must be >= 10, got {self.B}")
+        if not 0.0 < self.level < 1.0:  # NaN fails too
+            raise ConfigError(f"bootstrap level must be in (0, 1), got {self.level!r}")
 
 
 @dataclass(frozen=True)
@@ -181,12 +186,10 @@ def _fail(key: str, message: str) -> ConfigError:
 # --- per-year analysis -------------------------------------------------------------
 
 def network_spectrum(assets: Sequence[float] | np.ndarray, method: ReconstructionConfig,
-                     bank_ids: Sequence[str] | None = None
-                     ) -> tuple[WeightedNetwork, SpectrumResult]:
+                     bank_ids: Sequence[str] | None = None) -> SpectrumResult:
     """Reconstruct exposures, threshold them into a network, decompose it once."""
     exposures = reconstruct_exposures(assets, method, bank_ids)
-    net = build_network(exposures, method.min_edge_threshold)
-    return net, laplacian_spectrum(net)
+    return laplacian_spectrum(build_network(exposures, method.min_edge_threshold))
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ class YearReport:
 
 def year_report(year: int, assets: np.ndarray, bank_ids: Sequence[str],
                 cfg: RunConfig) -> YearReport:
-    net, spectrum = network_spectrum(assets, cfg.method, bank_ids)
+    spectrum = network_spectrum(assets, cfg.method, bank_ids)
     k_eff = effective_decay(spectrum.lambda2, cfg.params())
     return YearReport(
         year=year,
@@ -231,7 +234,7 @@ def year_report(year: int, assets: np.ndarray, bank_ids: Sequence[str],
         d_star=critical_distance(k_eff, cfg.d_star_epsilon),
         lambda_n=spectrum.lambda_n,
         n_components=spectrum.n_components(),
-        topology=topology_report(net, spectrum),
+        topology=topology_report(spectrum),
         spectrum=spectrum,
     )
 
@@ -327,7 +330,7 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
         year, rho = job
         _, assets = panel.assets_for_year(year)
         method = replace(cfg.method, ratio_rule=FixedRatio(rho))
-        return network_spectrum(assets, method)[1].lambda2
+        return network_spectrum(assets, method).lambda2
 
     jobs = [(year, rho) for year in years for rho in rhos]
     if cfg.workers > 1:
@@ -379,7 +382,9 @@ def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
     complete the data-generating process.
     """
     if n_banks < 3:
-        raise ValueError("need at least 3 banks")
+        raise ConfigError(f"need at least 3 banks, got {n_banks}")
+    if not 0.0 <= treated_shrink < 1.0:
+        raise ConfigError(f"treated_shrink must be in [0, 1), got {treated_shrink!r}")
     years = sorted(int(y) for y in years)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     base = rng.normal(log_mean, log_sigma, size=n_banks)

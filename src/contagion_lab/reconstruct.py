@@ -187,29 +187,6 @@ class ExposureMatrix:
             writer.writerow([bank, *[repr(float(v)) for v in row]])
         return buf.getvalue()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bank_ids": list(self.bank_ids),
-            "X": [[float(v) for v in row] for row in self.X],
-            "row_targets": [float(v) for v in self.row_targets],
-            "col_targets": [float(v) for v in self.col_targets],
-            "method": self.method,
-            "marginals_fitted": self.marginals_fitted,
-            "flags": list(self.flags),
-        }
-
-
-def exposure_from_json(d: dict) -> ExposureMatrix:
-    return ExposureMatrix(
-        bank_ids=tuple(d["bank_ids"]),
-        X=np.array(d["X"], dtype=float),
-        row_targets=np.array(d["row_targets"], dtype=float),
-        col_targets=np.array(d["col_targets"], dtype=float),
-        method=d.get("method", "max_entropy"),
-        marginals_fitted=d.get("marginals_fitted", True),
-        flags=tuple(d.get("flags", ())),
-    )
-
 
 def exposure_from_csv_text(text: str) -> ExposureMatrix:
     """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`.

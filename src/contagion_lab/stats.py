@@ -68,10 +68,6 @@ class BootstrapResult:
         }
 
 
-def _lambda2_pipeline(assets: np.ndarray, cfg: ReconstructionConfig) -> float:
-    return network_spectrum(assets, cfg)[1].lambda2
-
-
 def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
                       cfg: ReconstructionConfig,
                       B: int = 100, level: float = 0.95, seed: int = 0,
@@ -94,12 +90,12 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
 
-    point = _lambda2_pipeline(assets, cfg)
+    point = network_spectrum(assets, cfg).lambda2
 
     def one(b: int) -> float:
         rng = _replicate_rng(seed, b)
         idx = rng.integers(0, n, size=n)
-        return _lambda2_pipeline(assets[idx], cfg)
+        return network_spectrum(assets[idx], cfg).lambda2
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -133,6 +129,8 @@ def permutation_test(group_a: Sequence[float], group_b: Sequence[float],
     b = np.asarray(group_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise InsufficientData("both groups must be non-empty")
+    if n_perm < 1:
+        raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     pooled = np.concatenate([a, b])
     n_a = len(a)
     t_obs = abs(a.mean() - b.mean())
@@ -197,6 +195,8 @@ def placebo_null(net: WeightedNetwork, n_draws: int = 1000,
     the percentile of the observed lambda2 within it; a tie flag is set
     when every draw equals the observed value (e.g. all weights equal).
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     iu, ju = np.triu_indices(net.n, k=1)
     edge = net.W[iu, ju] > 0
     iu, ju = iu[edge], ju[edge]
@@ -543,10 +543,10 @@ def did_regress(observations: Iterable[tuple[str, int, float]],
     """Two-way FE DID with CR0 cluster-robust SEs clustered by bank.
 
     ``observations`` are (bank_id, year, outcome) triples. Estimated by
-    full-dummy OLS (equivalent to the within transformation; see
-    :func:`did_within_coefficients`). The CR0 sandwich is scaled by
-    G/(G-1) * (N-1)/(N-K). SEs that collapse to zero (saturated designs)
-    are flagged degenerate rather than dropped.
+    full-dummy OLS, which equals the within transformation (the oracle
+    ``did_within_coefficients`` in ``tests/oracles.py`` checks this). The
+    CR0 sandwich is scaled by G/(G-1) * (N-1)/(N-K). SEs that collapse to
+    zero (saturated designs) are flagged degenerate rather than dropped.
     """
     obs = list(observations)
     if not obs:
@@ -596,48 +596,6 @@ def did_regress(observations: Iterable[tuple[str, int, float]],
             degenerate.append(name)
     return DidResult(coefficients=coef, clustered_se=ses, r_squared=max(r_squared, 0.0),
                      n_obs=N, n_banks=G, degenerate_terms=tuple(degenerate))
-
-
-def did_within_coefficients(observations: Iterable[tuple[str, int, float]],
-                            treatment: TreatmentAssignment,
-                            interactions: Sequence[str] = (),
-                            covariates: Mapping[str, Mapping[str, float]] | None = None,
-                            tol: float = 1e-12, max_iter: int = 10_000) -> dict[str, float]:
-    """Within-transformation estimates of the non-FE terms.
-
-    Alternating bank/year demeaning (converges for unbalanced panels)
-    applied to the outcome and every non-dummy regressor, then plain OLS.
-    Must agree with :func:`did_regress` to high precision.
-    """
-    obs = list(observations)
-    bank_ids = [o[0] for o in obs]
-    years = [int(o[1]) for o in obs]
-    y = np.array([float(o[2]) for o in obs])
-    X, names, _ = _did_design(bank_ids, years, treatment, interactions, covariates)
-
-    keep = [i for i, nm in enumerate(names)
-            if not (nm == "intercept" or nm.startswith("bank[") or nm.startswith("year["))]
-    Z = X[:, keep]
-    kept_names = [names[i] for i in keep]
-
-    bank_codes = np.unique(bank_ids, return_inverse=True)[1]
-    year_codes = np.unique(years, return_inverse=True)[1]
-
-    def demean(v: np.ndarray) -> np.ndarray:
-        v = v.astype(float).copy()
-        for _ in range(max_iter):
-            before = v.copy()
-            for codes in (bank_codes, year_codes):
-                means = np.bincount(codes, weights=v) / np.bincount(codes)
-                v -= means[codes]
-            if np.abs(v - before).max() <= tol * max(1.0, np.abs(v).max()):
-                break
-        return v
-
-    y_w = demean(y)
-    Z_w = np.column_stack([demean(Z[:, j]) for j in range(Z.shape[1])])
-    beta, *_ = np.linalg.lstsq(Z_w, y_w, rcond=None)
-    return {nm: float(b) for nm, b in zip(kept_names, beta)}
 
 
 # --- series utilities ------------------------------------------------------------
@@ -699,10 +657,10 @@ def leave_one_out_lambda2(assets: Sequence[float] | np.ndarray,
     assets = np.asarray(assets, dtype=float)
     if len(assets) < 4:
         raise InsufficientData("need at least 4 banks")
-    base = _lambda2_pipeline(assets, cfg)
+    base = network_spectrum(assets, cfg).lambda2
     vals = np.empty(len(assets))
     for i in range(len(assets)):
-        vals[i] = _lambda2_pipeline(np.delete(assets, i), cfg)
+        vals[i] = network_spectrum(np.delete(assets, i), cfg).lambda2
     dev = 100.0 * (vals - base) / base
     return LeaveOneOutResult(base_lambda2=base, lambda2_without=vals,
                              deviations_pct=dev,

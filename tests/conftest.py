@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contagion_lab.graph import WeightedNetwork
+
+# CLI tests run ``python -m contagion_lab.cli`` in child processes, which find
+# the package only through PYTHONPATH; pytest's own ``pythonpath`` setting
+# reaches this process alone.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def random_connected_network(seed: int, n: int, p: float = 0.35,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_network, random_connected_network
+from oracles import did_within_coefficients
 from contagion_lab.contagion import (
     DiffusionParams,
     critical_distance,
@@ -39,7 +40,6 @@ from contagion_lab.reconstruct import (
 from contagion_lab.stats import (
     bootstrap_lambda2,
     did_regress,
-    did_within_coefficients,
     fit_distributions,
     permutation_test,
     power_law_mle,
@@ -125,21 +125,22 @@ def test_criterion_04_conservation_and_decay():
     rng = np.random.default_rng(404)
     for seed in range(6):
         n = int(rng.integers(5, 31))
-        net = random_connected_network(1000 + seed, n)
+        spectrum = laplacian_spectrum(random_connected_network(1000 + seed, n))
         u0 = rng.random(n)
         for t in (0.1, 1.0, 10.0):
-            drift = solve_diffusion(net, DiffusionParams(kappa=0.0), u0, t)
+            drift = solve_diffusion(spectrum, DiffusionParams(kappa=0.0), u0, t)
             assert abs(drift.total() - u0.sum()) <= 1e-8 * u0.sum()
             kap = 0.4
-            dec = solve_diffusion(net, DiffusionParams(kappa=kap), u0, t)
+            dec = solve_diffusion(spectrum, DiffusionParams(kappa=kap), u0, t)
             assert abs(dec.total() - math.exp(-kap * t) * u0.sum()) \
                 <= 1e-8 * u0.sum()
     for label, net in (("K6", complete_network(6)),
                        ("random n=12", two_scale_network(3))):
         params = DiffusionParams(D=1.0, kappa=0.25)
-        gamma = temporal_decay_rate(net, params)
-        q2 = laplacian_spectrum(net).fiedler_vector
-        fitted = fit_temporal_decay(net, params, source=int(np.argmax(np.abs(q2))))
+        spectrum = laplacian_spectrum(net)
+        gamma = temporal_decay_rate(spectrum, params)
+        q2 = spectrum.fiedler_vector
+        fitted = fit_temporal_decay(spectrum, params, source=int(np.argmax(np.abs(q2))))
         assert abs(fitted - gamma) <= 0.01 * gamma, label
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -158,7 +159,7 @@ def test_criterion_05_solver_oracle():
         u = u0.copy()
         for _ in range(int(round(1.0 / dt))):
             u = u + dt * (-params.D * (L @ u) - params.kappa * u)
-        spectral = solve_diffusion(net, params, u0, 1.0).u
+        spectral = solve_diffusion(laplacian_spectrum(net), params, u0, 1.0).u
         assert np.allclose(spectral, u, rtol=1e-4, atol=1e-12)
     report(5, "spectral vs forward-Euler within 1e-4 on 10 graphs, n <= 15")
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import complete_network, random_connected_network
 from contagion_lab.errors import SingletonGraph, TooSmall
@@ -10,7 +10,6 @@ from contagion_lab.graph import (
     WeightedNetwork,
     _betweenness,
     build_network,
-    count_zero_eigenvalues,
     degree_sequence,
     fiedler_partition,
     gini_coefficient,
@@ -71,7 +70,7 @@ class TestLaplacianSpectrum:
         W[2, 3] = W[3, 2] = 1.0
         net = WeightedNetwork(("a", "b", "c", "d"), W)
         s = laplacian_spectrum(net)
-        assert count_zero_eigenvalues(s) == 2
+        assert np.sum(np.abs(s.eigenvalues) < 1e-6 * max(1.0, s.lambda_n)) == 2
         assert s.component_sizes == (2, 2)
         # ties in size: the component containing the lowest index wins
         assert math.isclose(s.lambda2, 6.0, abs_tol=1e-9)
@@ -152,7 +151,7 @@ class TestLaplacianSpectrum:
             if len(comps[0]) < 2:
                 continue
             s = laplacian_spectrum(net)
-            assert count_zero_eigenvalues(s) == len(comps)
+            assert np.sum(np.abs(s.eigenvalues) < 1e-6 * max(1.0, s.lambda_n)) == len(comps)
 
     def test_fiedler_vector_contract(self):
         net = random_connected_network(3, 18)
@@ -225,7 +224,7 @@ def star_network(n: int, w: float = 1.0) -> WeightedNetwork:
 class TestTopologyReport:
     def test_uniform_degrees(self):
         net = complete_network(10)
-        rep = topology_report(net)
+        rep = topology_report(laplacian_spectrum(net))
         assert rep.gini == pytest.approx(0.0, abs=1e-12)
         assert rep.hhi == pytest.approx(0.1, abs=1e-12)
         assert rep.top_k_share[5] == pytest.approx(0.5, abs=1e-12)
@@ -238,7 +237,7 @@ class TestTopologyReport:
         y = np.array([1.0] * 4 + [4.0] * 4)
         oracle = float(np.corrcoef(x, y)[0, 1])
         assert oracle == pytest.approx(-1.0, abs=1e-12)
-        rep = topology_report(star_network(5))
+        rep = topology_report(laplacian_spectrum(star_network(5)))
         assert rep.assortativity == pytest.approx(-1.0, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30),
@@ -261,11 +260,11 @@ class TestTopologyReport:
 
     def test_k4_effective_resistance_closed_form(self, k4):
         # K_n eigenvalues are 0 and n (multiplicity n-1): n * (n-1)/n = n-1
-        rep = topology_report(k4)
+        rep = topology_report(laplacian_spectrum(k4))
         assert rep.effective_resistance == pytest.approx(3.0, abs=1e-9)
 
     def test_spectral_fields(self, k4):
-        rep = topology_report(k4)
+        rep = topology_report(laplacian_spectrum(k4))
         assert rep.spectral_radius == pytest.approx(3.0, abs=1e-9)  # K4 adjacency
         assert rep.lambda_n == pytest.approx(4.0, abs=1e-9)
         assert rep.spectral_gap == pytest.approx(4.0, abs=1e-9)
@@ -278,13 +277,13 @@ class TestTopologyReport:
             assert hhi(c * d) == pytest.approx(hhi(d), abs=1e-12)
 
     def test_star_centralizations_are_maximal(self):
-        rep = topology_report(star_network(6))
+        rep = topology_report(laplacian_spectrum(star_network(6)))
         assert rep.centralization["degree"] == pytest.approx(1.0, abs=1e-9)
         assert rep.centralization["betweenness"] == pytest.approx(1.0, abs=1e-9)
         assert rep.centralization["eigenvector"] == pytest.approx(1.0, abs=1e-9)
 
     def test_complete_graph_centralizations_are_zero(self, k4):
-        rep = topology_report(k4)
+        rep = topology_report(laplacian_spectrum(k4))
         assert rep.centralization["degree"] == pytest.approx(0.0, abs=1e-12)
         assert rep.centralization["eigenvector"] == pytest.approx(0.0, abs=1e-9)
 
@@ -294,22 +293,56 @@ class TestTopologyReport:
         W = np.array([[0.0, 10.0, 10.0],
                       [10.0, 0.0, 0.1],
                       [10.0, 0.1, 0.0]])
-        rep = topology_report(WeightedNetwork(("hub", "x", "y"), W))
+        rep = topology_report(laplacian_spectrum(WeightedNetwork(("hub", "x", "y"), W)))
         assert rep.centralization["betweenness"] > 0
 
     def test_too_small(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(TooSmall):
-            topology_report(WeightedNetwork(("a", "b"), W))
+            topology_report(laplacian_spectrum(WeightedNetwork(("a", "b"), W)))
 
     def test_computed_on_largest_component(self):
         W = np.zeros((5, 5))
         for i, j in ((0, 1), (1, 2), (0, 2)):
             W[i, j] = W[j, i] = 1.0
         W[3, 4] = W[4, 3] = 9.0
-        rep = topology_report(WeightedNetwork(tuple("abcde"), W))
+        rep = topology_report(laplacian_spectrum(WeightedNetwork(tuple("abcde"), W)))
         assert rep.n == 3
         assert rep.weighted_avg_degree == pytest.approx(2.0)
+
+
+def assert_close_tree(x, y):
+    """Equal JSON trees, floats within 1e-9 relative (1e-12 absolute near zero)."""
+    if isinstance(x, dict):
+        assert x.keys() == y.keys()
+        for key in x:
+            assert_close_tree(x[key], y[key])
+    elif isinstance(x, float):
+        assert y == pytest.approx(x, rel=1e-9, abs=1e-12)
+    else:
+        assert x == y
+
+
+class TestRelabeling:
+    """Permuting the banks, W's rows and columns with bank_ids, changes nothing."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30),
+           st.sampled_from([1.0, 0.5, 0.15, 0.08]))
+    @settings(max_examples=60, deadline=None)
+    def test_spectrum_and_topology_invariant(self, seed, n, density):
+        net = lognormal_network(seed, n, density)
+        sizes = [len(c) for c in net.components()]
+        # with an equal-size runner-up the relabeling may pick another largest component
+        assume(sizes[0] >= 3 and (len(sizes) == 1 or sizes[0] > sizes[1]))
+        perm = np.random.default_rng(seed).permutation(n)
+        moved = WeightedNetwork(tuple(net.bank_ids[i] for i in perm),
+                                net.W[np.ix_(perm, perm)])
+        a, b = laplacian_spectrum(net), laplacian_spectrum(moved)
+        assert b.lambda2 == pytest.approx(a.lambda2, rel=1e-9)
+        np.testing.assert_allclose(b.eigenvalues, a.eigenvalues, rtol=1e-9,
+                                   atol=1e-9 * a.lambda_n)
+        assert_close_tree(topology_report(b).to_json_dict(),
+                          topology_report(a).to_json_dict())
 
 
 def networkx_betweenness(net: WeightedNetwork) -> np.ndarray:

@@ -174,7 +174,7 @@ RUN_CONFIGS = st.builds(
                      min_edge_threshold=st.floats(min_value=0.0, max_value=1e9)),
     ratio_sweep=st.none() | st.tuples(_UNIT, _UNIT, st.integers(1, 100)).map(
         lambda t: (min(t[:2]), max(t[:2]), t[2])),
-    bootstrap=st.builds(BootstrapSection, B=st.integers(1, 10_000), level=_UNIT,
+    bootstrap=st.builds(BootstrapSection, B=st.integers(10, 10_000), level=_UNIT,
                         seed=st.none() | st.integers(0, 2**63)),
     did=st.builds(DidSection, base_year=st.none() | st.integers(1900, 2100), quantile=_UNIT),
     output_dir=st.text(max_size=12),
@@ -264,6 +264,9 @@ class TestRunConfig:
          "'method.ratio_rule.rho_large'"),
         ({"method": {"method": "nope"}}, "unknown reconstruction method 'nope'"),
         ({"ratio_sweep": [0.5, 0.2, 3]}, "ratio sweep min must be <= max"),
+        ({"bootstrap": {"B": 9}}, "bootstrap B must be >= 10, got 9"),
+        ({"bootstrap": {"level": 1.0}}, "bootstrap level must be in (0, 1), got 1.0"),
+        ({"bootstrap": {"level": math.nan}}, "bootstrap level must be in (0, 1), got nan"),
     ])
     def test_malformed_config_names_the_key(self, doc, key):
         with pytest.raises(ConfigError, match=re.escape(key)) as exc:
@@ -511,6 +514,37 @@ class TestCliCommands:
         assert r.returncode == 2
         assert message in r.stderr.splitlines()[-1]
         assert not (tmp_path / "analyze.json").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("permute", ("--n-perm", "0"), "expected a positive integer, got '0'"),
+        ("permute", ("--n-perm", "-5"), "expected a positive integer, got '-5'"),
+        ("permute", ("--n-perm", "x"), "expected a positive integer, got 'x'"),
+        ("placebo", ("--n-draws", "0"), "expected a positive integer, got '0'"),
+        ("placebo", ("--n-draws", "-2"), "expected a positive integer, got '-2'"),
+        ("bootstrap", ("--level", "1.5"), "bootstrap level must be in (0, 1), got 1.5"),
+        ("bootstrap", ("--level", "nan"), "bootstrap level must be in (0, 1), got nan"),
+        ("bootstrap", ("-B", "5"), "bootstrap B must be >= 10, got 5"),
+        ("synth", ("--n", "6", "--shrink", "1"), "treated_shrink must be in [0, 1), got 1.0"),
+        ("synth", ("--n", "6", "--shrink", "-0.2"),
+         "treated_shrink must be in [0, 1), got -0.2"),
+        ("synth", ("--n", "2"), "need at least 3 banks, got 2"),
+    ])
+    def test_command_flags_exit_2(self, tmp_path, command, flags, message):
+        from contagion_lab.reconstruct import max_entropy
+
+        inputs = {
+            "permute": "group,value\nx,1.0\nx,2.0\ny,11.0\ny,12.0\n",
+            "placebo": max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0]).to_csv_text(),
+            "bootstrap": synth_panel_csv(6, [2018], seed=2, log_sigma=0.5),
+        }
+        args = [command, "--output-dir", str(tmp_path / "out"), *flags]
+        if command in inputs:
+            (tmp_path / "in.csv").write_text(inputs[command])
+            args += ["--input", str(tmp_path / "in.csv")]
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert message in r.stderr.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"sed": 5}', "error: config key 'sed': unknown key\n"),

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from contagion_lab.reconstruct import (
     TieredRatio,
     apply_threshold,
     exposure_from_csv_text,
-    exposure_from_json,
     fitness_model,
     interbank_aggregates,
     kde_weights,
@@ -349,13 +347,6 @@ class TestScalingInvariant:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        em = max_entropy([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], bank_ids=("x", "y", "z"))
-        again = exposure_from_json(json.loads(json.dumps(em.to_json_dict())))
-        assert again.bank_ids == em.bank_ids
-        assert np.array_equal(again.X, em.X)
-        assert again.marginals_fitted == em.marginals_fitted
-
     def test_csv_roundtrip_exact(self):
         em = max_entropy([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         again = exposure_from_csv_text(em.to_csv_text())

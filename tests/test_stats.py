@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_network, random_connected_network
+from oracles import did_within_coefficients
 from contagion_lab.errors import (
     CollinearDesign,
     InsufficientData,
@@ -15,12 +16,12 @@ from contagion_lab.errors import (
 )
 from contagion_lab.graph import WeightedNetwork, laplacian_spectrum
 from contagion_lab.ingest import TreatmentAssignment
+from contagion_lab.pipeline import network_spectrum
 from contagion_lab.reconstruct import FixedRatio, ReconstructionConfig
 from contagion_lab.stats import (
     bootstrap_lambda2,
     chow_test,
     did_regress,
-    did_within_coefficients,
     fit_distributions,
     leave_one_out_lambda2,
     permutation_test,
@@ -123,6 +124,11 @@ class TestPermutationTest:
         with pytest.raises(InsufficientData):
             permutation_test([], [1.0], n_perm=10)
 
+    @pytest.mark.parametrize("n_perm", [0, -5])
+    def test_no_permutations_rejected(self, n_perm):
+        with pytest.raises(ValueError, match=f"n_perm must be >= 1, got {n_perm}"):
+            permutation_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], n_perm=n_perm)
+
 
 class TestPlaceboNull:
     def test_equal_weights_tied(self):
@@ -158,6 +164,11 @@ class TestPlaceboNull:
         res = placebo_null(net, n_draws=10, seed=1)
         assert len(res.null_lambda2) == 10
         assert not res.tied
+
+    @pytest.mark.parametrize("n_draws", [0, -2])
+    def test_no_draws_rejected(self, n_draws):
+        with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
+            placebo_null(complete_network(4), n_draws=n_draws)
 
     def test_null_matches_per_edge_reference_loop(self):
         # reference: the per-edge rebuild, drawing one permutation per draw
@@ -456,6 +467,5 @@ class TestLeaveOneOut:
         manual = []
         for i in (0, 7, 14):
             sub = np.delete(assets, i)
-            from contagion_lab.stats import _lambda2_pipeline
-            manual.append(_lambda2_pipeline(sub, MAXENT))
+            manual.append(network_spectrum(sub, MAXENT).lambda2)
         assert res.lambda2_without[[0, 7, 14]] == pytest.approx(manual)

@@ -33,6 +33,7 @@ from .ingest import (
     balanced_panel,
     load_panel,
 )
+from .pipeline import network_lambda2
 from .reconstruct import (
     ExposureMatrix,
     FixedRatio,

@@ -25,6 +25,7 @@ from .graph import (
     SpectrumResult,
     TopologyReport,
     build_network,
+    factor_lambda2,
     laplacian_spectrum,
     topology_report,
 )
@@ -192,6 +193,21 @@ def network_spectrum(assets: Sequence[float] | np.ndarray, method: Reconstructio
     return laplacian_spectrum(build_network(exposures, method.min_edge_threshold))
 
 
+def network_lambda2(assets: Sequence[float] | np.ndarray,
+                    method: ReconstructionConfig) -> float:
+    """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
+
+    When the exposures keep their IPF factors and the threshold left the
+    network complete, lambda2 comes from ``factor_lambda2`` in O(n) per
+    trial value; otherwise from ``laplacian_spectrum``.
+    """
+    exposures = reconstruct_exposures(assets, method)
+    net = build_network(exposures, method.min_edge_threshold)
+    if exposures.factors is not None and np.count_nonzero(net.W) == net.n * (net.n - 1):
+        return factor_lambda2(*exposures.factors)
+    return laplacian_spectrum(net).lambda2
+
+
 @dataclass(frozen=True)
 class YearReport:
     """One year's connectivity, decay parameters, and topology.
@@ -330,7 +346,7 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
         year, rho = job
         _, assets = panel.assets_for_year(year)
         method = replace(cfg.method, ratio_rule=FixedRatio(rho))
-        return network_spectrum(assets, method).lambda2
+        return network_lambda2(assets, method)
 
     jobs = [(year, rho) for year in years for rho in rhos]
     if cfg.workers > 1:
@@ -383,9 +399,21 @@ def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
     """
     if n_banks < 3:
         raise ConfigError(f"need at least 3 banks, got {n_banks}")
+    # each check is written as "not ok" so that NaN is rejected too
     if not 0.0 <= treated_shrink < 1.0:
         raise ConfigError(f"treated_shrink must be in [0, 1), got {treated_shrink!r}")
+    if not 0.0 <= treat_quantile <= 1.0:
+        raise ConfigError(f"treat_quantile must be in [0, 1], got {treat_quantile!r}")
+    if not math.isfinite(log_mean):
+        raise ConfigError(f"log_mean must be finite, got {log_mean!r}")
+    if not 0.0 <= log_sigma < math.inf:
+        raise ConfigError(f"log_sigma must be finite and >= 0, got {log_sigma!r}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     years = sorted(int(y) for y in years)
+    repeated = sorted({y for y in years if years.count(y) > 1})
+    if repeated:
+        raise ConfigError(f"years must be distinct, got {repeated[0]} more than once")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     base = rng.normal(log_mean, log_sigma, size=n_banks)
     levels = []

@@ -140,6 +140,8 @@ class ExposureMatrix:
 
     ``marginals_fitted`` is False for methods/edits that intentionally do
     not reproduce the per-bank targets (KDE weighting, thresholding).
+    ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal,
+    when ``X`` was built from them (max-entropy IPF); otherwise None.
     """
 
     bank_ids: tuple[str, ...]
@@ -149,6 +151,8 @@ class ExposureMatrix:
     method: str = "max_entropy"
     marginals_fitted: bool = True
     flags: tuple[str, ...] = ()
+    factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -159,6 +163,8 @@ class ExposureMatrix:
             raise ValueError("exposures must be finite and non-negative")
         if np.any(np.diagonal(X) != 0.0):
             raise ValueError("diagonal exposures must be zero")
+        if self.factors is not None and any(np.shape(v) != (n,) for v in self.factors):
+            raise ValueError(f"factors must be two vectors of length {n}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "row_targets", np.asarray(self.row_targets, dtype=float))
         object.__setattr__(self, "col_targets", np.asarray(self.col_targets, dtype=float))
@@ -226,34 +232,34 @@ def interbank_aggregates(assets: Sequence[float] | np.ndarray,
     return A, A.copy()
 
 
-def _ipf(X: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray,
-         rtol: float = IPF_RTOL, max_sweeps: int = IPF_MAX_SWEEPS) -> np.ndarray:
-    """RAS scaling to the given marginals, preserving the zero pattern."""
-    X = X.copy()
+def _ipf(row_targets: np.ndarray, col_targets: np.ndarray,
+         rtol: float = IPF_RTOL, max_sweeps: int = IPF_MAX_SWEEPS
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """RAS scaling of the prior A_i L_j / sum(A) with a zero diagonal, on its factors.
+
+    The iterates keep the product form x_ij = p_i q_j (i != j), so row i
+    sums to p_i (sum(q) - q_i) and column j to q_j (sum(p) - p_j): each
+    sweep rescales the two vectors in O(n). The first row step reads only
+    q, which starts as L. Returns (p, q).
+    """
     scale = max(float(row_targets.max(initial=0.0)), float(col_targets.max(initial=0.0)))
     if scale <= 0:
         raise ZeroTotal("all marginal targets are zero")
+    q = col_targets
     for _ in range(max_sweeps):
-        rows = X.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(rows > 0, row_targets / rows, 1.0)
-        X *= r[:, None]
-        cols = X.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(cols > 0, col_targets / cols, 1.0)
-        X *= c[None, :]
-        row_err = np.abs(X.sum(axis=1) - row_targets).max()
-        col_err = np.abs(X.sum(axis=0) - col_targets).max()
-        if max(row_err, col_err) <= rtol * scale:
-            return X
+        p = row_targets / (q.sum() - q)
+        q = col_targets / (p.sum() - p)
+        row_err = np.abs(p * (q.sum() - q) - row_targets).max()
+        col_err = np.abs(q * (p.sum() - p) - col_targets).max()
+        err = max(row_err, col_err)
+        if err <= rtol * scale:
+            return p, q
     # final check against the looser marginal tolerance before giving up
-    row_err = np.abs(X.sum(axis=1) - row_targets).max()
-    col_err = np.abs(X.sum(axis=0) - col_targets).max()
-    if max(row_err, col_err) <= MARGINAL_RTOL * scale:
-        return X
+    if err <= MARGINAL_RTOL * scale:
+        return p, q
     raise InfeasibleMarginals(
         f"IPF did not converge in {max_sweeps} sweeps "
-        f"(residual {max(row_err, col_err):.3e}); a marginal may exceed "
+        f"(residual {err:.3e}); a marginal may exceed "
         "half the total, which no zero-diagonal matrix can satisfy"
     )
 
@@ -263,7 +269,10 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     """Entropy-maximizing exposures x_ij = A_i L_j / sum(A), diagonal corrected.
 
     The closed form has a positive diagonal; we zero it and restore both
-    marginals by RAS to 1e-12 relative convergence.
+    marginals by RAS to 1e-12 relative convergence. RAS keeps the product
+    form, so off the diagonal x_ij = p_i q_j, and the result carries
+    ``factors=(p, q)``; the forced solution on the feasibility boundary
+    carries none.
     """
     A = np.asarray(A, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -291,13 +300,14 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
         X[i, :] = L
         X[:, i] = A
         X[i, i] = 0.0
+        factors = None
     else:
-        X0 = np.outer(A, L) / total
-        np.fill_diagonal(X0, 0.0)
-        X = _ipf(X0, A, L)
+        factors = _ipf(A, L)
+        X = np.outer(*factors)
+        np.fill_diagonal(X, 0.0)
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(A))
     return ExposureMatrix(bank_ids=ids, X=X, row_targets=A, col_targets=L,
-                          method="max_entropy")
+                          method="max_entropy", factors=factors)
 
 
 def silverman_bandwidth(assets: np.ndarray) -> float:
@@ -463,7 +473,7 @@ def apply_threshold(exposures: ExposureMatrix, epsilon: float) -> ExposureMatrix
     flags = exposures.flags + ("thresholded",)
     if not np.any(X > 0):
         flags = flags + ("all_edges_below_threshold",)
-    return replace(exposures, X=X, marginals_fitted=False, flags=flags)
+    return replace(exposures, X=X, marginals_fitted=False, flags=flags, factors=None)
 
 
 def reconstruct_exposures(assets: Sequence[float] | np.ndarray,

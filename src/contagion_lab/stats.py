@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph import laplacian_spectrum, WeightedNetwork
 from .ingest import TreatmentAssignment
-from .pipeline import network_spectrum
+from .pipeline import network_lambda2
 from .reconstruct import ReconstructionConfig
 
 
@@ -75,7 +75,7 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
     """Bank-level bootstrap of algebraic connectivity.
 
     Each replicate draws n banks with replacement, re-runs the configured
-    reconstruction and the Laplacian spectrum, and records lambda2. The
+    reconstruction and network, and records lambda2 (``network_lambda2``). The
     percentile interval at ``level`` is read off the sorted replicates.
     The point estimate needs strictly positive assets, so every resample
     has a positive total; a replicate whose reconstruction or spectrum
@@ -90,12 +90,12 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
 
-    point = network_spectrum(assets, cfg).lambda2
+    point = network_lambda2(assets, cfg)
 
     def one(b: int) -> float:
         rng = _replicate_rng(seed, b)
         idx = rng.integers(0, n, size=n)
-        return network_spectrum(assets[idx], cfg).lambda2
+        return network_lambda2(assets[idx], cfg)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -657,10 +657,10 @@ def leave_one_out_lambda2(assets: Sequence[float] | np.ndarray,
     assets = np.asarray(assets, dtype=float)
     if len(assets) < 4:
         raise InsufficientData("need at least 4 banks")
-    base = network_spectrum(assets, cfg).lambda2
+    base = network_lambda2(assets, cfg)
     vals = np.empty(len(assets))
     for i in range(len(assets)):
-        vals[i] = network_spectrum(np.delete(assets, i), cfg).lambda2
+        vals[i] = network_lambda2(np.delete(assets, i), cfg)
     dev = 100.0 * (vals - base) / base
     return LeaveOneOutResult(base_lambda2=base, lambda2_without=vals,
                              deviations_pct=dev,

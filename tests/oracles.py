@@ -6,8 +6,37 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from contagion_lab.errors import InfeasibleMarginals
 from contagion_lab.ingest import TreatmentAssignment
+from contagion_lab.reconstruct import IPF_MAX_SWEEPS, IPF_RTOL, MARGINAL_RTOL
 from contagion_lab.stats import _did_design
+
+
+def matrix_ras(A: np.ndarray, L: np.ndarray, rtol: float = IPF_RTOL,
+               max_sweeps: int = IPF_MAX_SWEEPS) -> np.ndarray:
+    """Max-entropy exposures by RAS on the full matrix.
+
+    Starts from A_i L_j / sum(A) with a zero diagonal and rescales rows,
+    then columns, until every row and column sum is within
+    ``rtol * max target``: the stopping rule of ``max_entropy``, which
+    iterates on the factors instead.
+    """
+    X = np.outer(A, L) / A.sum()
+    np.fill_diagonal(X, 0.0)
+    scale = max(float(A.max()), float(L.max()))
+    for _ in range(max_sweeps):
+        rows = X.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X *= np.where(rows > 0, A / rows, 1.0)[:, None]
+        cols = X.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X *= np.where(cols > 0, L / cols, 1.0)[None, :]
+        err = max(np.abs(X.sum(axis=1) - A).max(), np.abs(X.sum(axis=0) - L).max())
+        if err <= rtol * scale:
+            return X
+    if err <= MARGINAL_RTOL * scale:
+        return X
+    raise InfeasibleMarginals(f"matrix RAS did not converge in {max_sweeps} sweeps")
 
 
 def did_within_coefficients(observations: Iterable[tuple[str, int, float]],

@@ -1,0 +1,209 @@
+"""lambda2 of complete max-entropy networks from their IPF factors.
+
+``network_lambda2`` counts eigenvalues with ``factor_lambda2`` when the
+exposures keep their factors and the threshold leaves the network complete,
+and runs ``laplacian_spectrum`` otherwise. Dense ``eigvalsh`` of the
+network's Laplacian is the oracle; eigensolver counters guard which path a
+run takes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import random_connected_network
+from contagion_lab.errors import InfeasibleMarginals
+from contagion_lab.graph import WeightedNetwork, build_network, factor_lambda2, laplacian_spectrum
+from contagion_lab.ingest import BankPanel
+from contagion_lab.pipeline import RunConfig, network_lambda2, sweep_ratios, synth_panel
+from contagion_lab.reconstruct import ReconstructionConfig, reconstruct_exposures
+from contagion_lab.stats import _replicate_rng, bootstrap_lambda2, leave_one_out_lambda2
+
+COMPLETE = ReconstructionConfig(min_edge_threshold=0.0)
+
+
+@st.composite
+def asset_vectors(draw):
+    """Lognormal sizes, resamples that repeat banks, all-equal assets, and
+    near-boundary marginals (one bank holds 45% to 49.9% of the total)."""
+    kind = draw(st.sampled_from(["lognormal", "repeated", "equal", "boundary"]))
+    n = draw(st.integers(3, 60))
+    if kind == "equal":
+        return np.full(n, draw(st.floats(1.0, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sigma stays small enough that lambda_n / lambda2 keeps eigvalsh itself
+    # accurate to well under 1e-12 relative
+    assets = rng.lognormal(11.0, draw(st.floats(0.05, 1.2)), n)
+    if kind == "repeated":
+        return assets[rng.integers(0, draw(st.integers(1, n)), n)]
+    if kind == "boundary":
+        share = draw(st.floats(0.45, 0.499))
+        assets[0] = share / (1.0 - share) * assets[1:].sum()
+    return assets
+
+
+def maxent_network(assets, method=COMPLETE):
+    """The exposures and network of ``assets``, or a rejected example."""
+    try:
+        exposures = reconstruct_exposures(assets, method)
+    except InfeasibleMarginals:
+        assume(False)
+    return exposures, build_network(exposures, method.min_edge_threshold)
+
+
+class TestAgainstDenseEigvalsh:
+    @given(asset_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigvalsh_of_the_laplacian(self, assets):
+        with np.errstate(all="raise"):
+            exposures, net = maxent_network(assets)
+            assert exposures.factors is not None
+            assert np.count_nonzero(net.W) == net.n * (net.n - 1)
+            got = network_lambda2(assets, COMPLETE)
+        want = np.linalg.eigvalsh(net.laplacian())[1]
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_all_equal_assets_give_n_times_the_weight(self):
+        for n in (3, 4, 17, 200):
+            exposures, net = maxent_network(np.full(n, 7.0))
+            w = net.W[0, 1]
+            assert np.all(net.W[~np.eye(n, dtype=bool)] == w)
+            assert factor_lambda2(*exposures.factors) == pytest.approx(n * w, rel=1e-14)
+
+    def test_two_banks_closed_form(self):
+        # one edge of weight w = p_0 q_1 + p_1 q_0 = 1 + 6: lambda2 = 2 w
+        assert factor_lambda2(np.array([1.0, 2.0]), np.array([3.0, 1.0])) == \
+            pytest.approx(14.0, rel=1e-15)
+
+    def test_lowest_degree_bank_repeated_is_the_lower_bound(self):
+        # banks 0 and 1 are identical and the smallest: e_0 - e_1 is an
+        # eigenvector, and lambda2 is exactly their diagonal entry
+        assets = np.array([1.0, 1.0, 3.0, 4.0, 5.0, 6.0])
+        exposures, net = maxent_network(assets)
+        p, q = exposures.factors
+        want = np.linalg.eigvalsh(net.laplacian())[1]
+        assert factor_lambda2(p, q) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p, q", [([1.0, 2.0, 2.0, 3.0], [3.0, 2.0, 3.0, 1.0]),
+                                      ([1.0, 2.0, 3.0, 6.0], [3.0, 2.0, 1.0, 3.0])])
+    def test_trial_value_on_a_diagonal_entry_is_skipped(self, p, q):
+        # a trial value of the first step equals one delta_i exactly; counted
+        # there, S(mu) is not finite and the bracket moved 2.5% off lambda2
+        p, q = np.array(p), np.array(q)
+        W = np.outer(p, q)
+        np.fill_diagonal(W, 0.0)
+        W = W + W.T
+        want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
+        assert factor_lambda2(p, q) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [70, 300])
+    def test_paper_scale_lognormal(self, n):
+        for seed in range(3):
+            assets = np.random.default_rng(seed).lognormal(11.0, 1.0, n)
+            exposures, net = maxent_network(assets)
+            want = np.linalg.eigvalsh(net.laplacian())[1]
+            assert abs(factor_lambda2(*exposures.factors) - want) <= 1e-12 * want
+
+
+class TestWhichPath:
+    """Counters on ``np.linalg.eigvalsh``: a silent fallback to the dense path
+    would pass every correctness test and lose the gain."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_complete_networks_make_no_eigvalsh_call(self, eigvalsh_calls):
+        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
+        res = bootstrap_lambda2(assets, COMPLETE, B=20, seed=5)
+        assert res.B_effective == 20
+        assert eigvalsh_calls == []
+
+    def test_thresholded_networks_make_one_call_per_block(self, eigvalsh_calls):
+        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
+        _, net = maxent_network(assets)
+        # between two distinct weights, so no weight sits on the threshold
+        w = np.unique(net.W[net.W > 0])
+        k = len(w) // 3
+        method = ReconstructionConfig(min_edge_threshold=float(0.5 * (w[k] + w[k + 1])))
+        B, seed = 20, 5
+        bootstrap_lambda2(assets, method, B=B, seed=seed)
+        samples = [assets] + [assets[_replicate_rng(seed, b).integers(0, 40, size=40)]
+                              for b in range(B)]
+        blocks = removed = 0
+        for sample in samples:
+            _, net = maxent_network(sample, method)
+            blocks += 1 if len(net.components()) == 1 else 2
+            removed += net.n * (net.n - 1) - np.count_nonzero(net.W)
+        assert removed > 0
+        assert len(eigvalsh_calls) == blocks
+
+    def test_leave_one_out_and_sweep_take_the_structured_path(self, eigvalsh_calls):
+        assets = np.random.default_rng(4).lognormal(11.0, 0.5, 12)
+        leave_one_out_lambda2(assets, COMPLETE)
+        panel = BankPanel(records=tuple(synth_panel(10, [2018, 2021], seed=3, log_sigma=0.5)))
+        sweep_ratios(panel, RunConfig(method=COMPLETE, ratio_sweep=(0.02, 0.08, 3)))
+        assert eigvalsh_calls == []
+
+
+class TestScaling:
+    @given(st.integers(0, 10_000), st.integers(3, 30), st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_lambda2_of_scaled_weights(self, seed, n, c):
+        net = random_connected_network(seed, n)
+        base = laplacian_spectrum(net).lambda2
+        scaled = laplacian_spectrum(WeightedNetwork(net.bank_ids, c * net.W)).lambda2
+        assert scaled == pytest.approx(c * base, rel=1e-11)
+        rng = np.random.default_rng(seed)
+        p, q = rng.lognormal(0.0, 1.0, n), rng.lognormal(0.0, 1.0, n)
+        assert factor_lambda2(c * p, q) == pytest.approx(c * factor_lambda2(p, q), rel=1e-12)
+
+    @given(st.integers(0, 10_000), st.integers(4, 40), st.floats(1e-3, 1e3),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_assets_scales_lambda2_on_both_paths(self, seed, n, c, thresholded):
+        assets = np.random.default_rng(seed).lognormal(11.0, 0.8, n)
+        method = COMPLETE
+        if thresholded:
+            _, net = maxent_network(assets)
+            w = np.unique(net.W[net.W > 0])
+            assume(len(w) >= 4)
+            k = len(w) // 4
+            method = ReconstructionConfig(min_edge_threshold=float(0.5 * (w[k] + w[k + 1])))
+        _, net = maxent_network(assets, method)
+        assert (np.count_nonzero(net.W) < n * (n - 1)) == thresholded
+        scaled = ReconstructionConfig(min_edge_threshold=c * method.min_edge_threshold)
+        got = network_lambda2(c * assets, scaled)
+        want = c * network_lambda2(assets, method)
+        assert got == pytest.approx(want, rel=1e-12 if not thresholded else 1e-11)
+
+
+class TestWorkerCounts:
+    @given(st.integers(0, 10_000), st.integers(8, 25), st.sampled_from([0.0, 200.0]))
+    @settings(max_examples=10, deadline=None)
+    def test_bootstrap_and_sweep_bit_identical_across_workers(self, seed, n, epsilon):
+        method = ReconstructionConfig(min_edge_threshold=epsilon)
+        assets = np.random.default_rng(seed).lognormal(11.0, 0.5, n)
+        panel = BankPanel(records=tuple(synth_panel(n, [2018, 2021], seed=seed, log_sigma=0.5)))
+        try:
+            runs = [bootstrap_lambda2(assets, method, B=12, seed=seed, workers=w)
+                    for w in (1, 2)]
+            sweeps = [sweep_ratios(panel, RunConfig(method=method, ratio_sweep=(0.02, 0.08, 3),
+                                                    workers=w))
+                      for w in (1, 2)]
+        except InfeasibleMarginals:  # a network in which one bank holds half the total
+            assume(False)
+        assert np.array_equal(runs[0].replicates, runs[1].replicates)
+        assert (runs[0].point, runs[0].ci_low, runs[0].ci_high) == \
+            (runs[1].point, runs[1].ci_low, runs[1].ci_high)
+        assert json.dumps(sweeps[0], sort_keys=True) == json.dumps(sweeps[1], sort_keys=True)

@@ -515,6 +515,17 @@ class TestCliCommands:
         assert message in r.stderr.splitlines()[-1]
         assert not (tmp_path / "analyze.json").exists()
 
+    def test_synth_repeated_year_rejected_before_writing(self, tmp_path):
+        # a panel with a repeated year would be written, and ingest would then
+        # reject it as a duplicate bank-year pair
+        with pytest.raises(ConfigError, match="years must be distinct, got 2018"):
+            synth_panel(5, [2018, 2018])
+        r = run_cli("synth", "--n", "5", "--years", "2018,2018",
+                    "--out", str(tmp_path / "panel.csv"))
+        assert r.returncode == 2
+        assert r.stderr == "error: years must be distinct, got 2018 more than once\n"
+        assert not (tmp_path / "panel.csv").exists()
+
     @pytest.mark.parametrize("command, flags, message", [
         ("permute", ("--n-perm", "0"), "expected a positive integer, got '0'"),
         ("permute", ("--n-perm", "-5"), "expected a positive integer, got '-5'"),
@@ -528,6 +539,18 @@ class TestCliCommands:
         ("synth", ("--n", "6", "--shrink", "-0.2"),
          "treated_shrink must be in [0, 1), got -0.2"),
         ("synth", ("--n", "2"), "need at least 3 banks, got 2"),
+        ("synth", ("--n", "6", "--quantile", "1.5"), "treat_quantile must be in [0, 1], got 1.5"),
+        ("synth", ("--n", "6", "--quantile", "-0.1"),
+         "treat_quantile must be in [0, 1], got -0.1"),
+        ("synth", ("--n", "6", "--quantile", "nan"), "treat_quantile must be in [0, 1], got nan"),
+        ("synth", ("--n", "6", "--log-sigma", "-1"),
+         "log_sigma must be finite and >= 0, got -1.0"),
+        ("synth", ("--n", "6", "--log-sigma", "inf"),
+         "log_sigma must be finite and >= 0, got inf"),
+        ("synth", ("--n", "6", "--noise", "-1"), "noise_sigma must be finite and >= 0, got -1.0"),
+        ("synth", ("--n", "6", "--log-mean", "nan"), "log_mean must be finite, got nan"),
+        ("synth", ("--n", "5", "--years", "2018,2021,2018"),
+         "years must be distinct, got 2018 more than once"),
     ])
     def test_command_flags_exit_2(self, tmp_path, command, flags, message):
         from contagion_lab.reconstruct import max_entropy
@@ -645,12 +668,20 @@ def test_cli_import_loads_neither_scipy_stats_nor_networkx():
 
 
 def test_bootstrap_and_sweep_run_without_scipy(tmp_path):
+    # at --epsilon 0 both run on the structured path, with no eigvalsh call;
+    # at --epsilon 30 the threshold removes edges, so some networks take the dense path
     panel = tmp_path / "panel.csv"
     panel.write_text(synth_panel_csv(12, [2018, 2021], seed=4, log_sigma=0.8))
     common = f"'--input', {str(panel)!r}, '--output-dir', {str(tmp_path)!r}"
-    code = ("import sys; from contagion_lab import cli\n"
-            f"assert cli.main(['bootstrap', {common}, '-B', '12']) == 0\n"
+    code = ("import sys\nimport numpy as np\nfrom contagion_lab import cli\n"
+            "calls, real = [], np.linalg.eigvalsh\n"
+            "np.linalg.eigvalsh = lambda a: calls.append(1) or real(a)\n"
+            f"assert cli.main(['bootstrap', {common}, '-B', '12', '--epsilon', '0']) == 0\n"
+            f"assert cli.main(['sweep', {common}, '--epsilon', '0', '--sweep-steps', '3']) == 0\n"
+            "assert calls == [], len(calls)\n"
+            f"assert cli.main(['bootstrap', {common}, '-B', '12', '--epsilon', '30']) == 0\n"
             f"assert cli.main(['sweep', {common}, '--epsilon', '30', '--sweep-steps', '3']) == 0\n"
+            "assert calls\n"
             f"print({SCIPY_OR_NETWORKX})")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

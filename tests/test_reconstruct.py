@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contagion_lab.errors import (
     DegenerateBandwidth,
@@ -12,6 +12,7 @@ from contagion_lab.errors import (
 )
 from contagion_lab.graph import algebraic_connectivity, build_network
 from contagion_lab.reconstruct import (
+    IPF_RTOL,
     ExposureMatrix,
     FixedRatio,
     LinearLogRatio,
@@ -28,6 +29,7 @@ from contagion_lab.reconstruct import (
     reconstruct_exposures,
     silverman_bandwidth,
 )
+from oracles import matrix_ras
 
 
 class TestInterbankAggregates:
@@ -139,6 +141,38 @@ class TestMaxEntropy:
         base = max_entropy(A, A.copy()).X
         scaled = max_entropy(c * A, c * A).X
         assert np.allclose(scaled, c * base, rtol=1e-9, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.floats(0.05, 2.0),
+           st.floats(0.0, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_factor_ipf_meets_marginals_and_matches_matrix_ras(self, seed, n, sigma, reach):
+        # independent A and L with sum(L) = sum(A); ``reach`` pushes the largest
+        # bank toward the feasibility boundary A_i + L_i = total
+        rng = np.random.default_rng(seed)
+        A = rng.lognormal(0.0, sigma, n)
+        L = rng.lognormal(0.0, sigma, n)
+        A[0] += reach * A.sum()
+        L *= A.sum() / L.sum()
+        assume(np.all(A + L < 0.98 * A.sum()))
+        em = max_entropy(A, L)
+        p, q = em.factors
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(em.X[off], np.outer(p, q)[off])
+        scale = max(A.max(), L.max())
+        assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * scale
+        assert np.abs(em.X.sum(axis=0) - L).max() <= 2 * IPF_RTOL * scale
+        assert np.abs(em.X - matrix_ras(A, L)).max() <= 1e-13 * em.X.max()
+
+    def test_factors_only_where_x_is_their_product(self):
+        assert max_entropy([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]).factors is None  # boundary
+        assert min_density([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).factors is None
+        em = max_entropy([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        assert em.factors is not None
+        assert apply_threshold(em, 0.0).factors is not None  # nothing dropped
+        assert apply_threshold(em, float(np.median(em.X + em.X.T))).factors is None
+        with pytest.raises(ValueError, match="factors"):
+            ExposureMatrix(bank_ids=em.bank_ids, X=em.X, row_targets=em.row_targets,
+                           col_targets=em.col_targets, factors=(np.ones(3), np.ones(4)))
 
     def test_infeasible_marginal_raises(self):
         # one bank holds more than half the total: no zero-diagonal solution

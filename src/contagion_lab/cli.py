@@ -27,11 +27,11 @@ from .graph import build_network, eigenvalues_csv_text
 from .ingest import BankPanel, balanced_panel, load_panel
 from .pipeline import (
     OUTPUT_DIR_ENV,
+    SCHEMA_VERSION,
     RunConfig,
     atomic_write_text,
     dump_json,
     ensure_writable,
-    envelope,
     from_json,
     overlay,
     render_table,
@@ -69,11 +69,13 @@ def _load(cfg: RunConfig):
     return panel
 
 
-def _emit(cfg_output_dir: str, name: str, payload: dict, table: str | None,
-          show_table: bool) -> Path:
-    out_dir = Path(cfg_output_dir)
-    path = out_dir / f"{name}.json"
-    atomic_write_text(path, dump_json(payload))
+def _emit(cfg: RunConfig, name: str, results, table: str | None, show_table: bool) -> Path:
+    """Write the envelope of command ``name``; ``to_json`` serializes both
+    ``cfg`` and ``results`` (result dataclasses, or dicts holding them)."""
+    path = Path(cfg.output_dir) / f"{name}.json"
+    payload = {"schema_version": SCHEMA_VERSION, "command": name, "config": cfg,
+               "results": results}
+    atomic_write_text(path, dump_json(to_json(payload)))
     if show_table and table:
         sys.stdout.write(table)
     else:
@@ -92,16 +94,12 @@ def cmd_analyze(args) -> int:
         for r in reports:
             atomic_write_text(Path(cfg.output_dir) / f"eigenvalues_{r.year}.csv",
                               eigenvalues_csv_text(r.spectrum))
-    payload = envelope("analyze", to_json(cfg), results)
-    rows = [
-        (r["year"], r["n_banks"], r["lambda2"], r["kappa_eff"], r["d_star"])
-        for r in results["years"]
-    ]
+    rows = [(r.year, r.n_banks, r.lambda2, r.kappa_eff, r.d_star) for r in reports]
     table = render_table(
         ["year", "banks", "lambda2", "kappa_eff", "d_star"], rows,
         title="Algebraic connectivity by year",
     )
-    _emit(cfg.output_dir, "analyze", payload, table, args.table)
+    _emit(cfg, "analyze", results, table, args.table)
     return EXIT_OK
 
 
@@ -113,14 +111,13 @@ def cmd_sweep(args) -> int:
     ensure_writable(cfg.output_dir)
     panel = _load(cfg)
     results = pipeline.sweep_ratios(panel, cfg)
-    payload = envelope("sweep", to_json(cfg), results)
     rows = []
     for rho in results["rhos"]:
         row = [rho] + [results["lambda2"][str(y)][repr(float(rho))] for y in results["years"]]
         rows.append(row)
     table = render_table(["rho", *[str(y) for y in results["years"]]], rows,
                          title="lambda2 by interbank ratio")
-    _emit(cfg.output_dir, "sweep", payload, table, args.table)
+    _emit(cfg, "sweep", results, table, args.table)
     return EXIT_OK
 
 
@@ -134,14 +131,12 @@ def cmd_bootstrap(args) -> int:
         cfg = replace(cfg, bootstrap=replace(cfg.bootstrap, seed=cfg.seed))
     result = bootstrap_lambda2(assets, cfg.method, B=cfg.bootstrap.B, level=cfg.bootstrap.level,
                                seed=cfg.bootstrap.seed, workers=cfg.workers)
-    results = {"year": year, **result.to_json_dict()}
-    payload = envelope("bootstrap", to_json(cfg), results)
     table = render_table(
         ["year", "point", "ci_low", "ci_high", "B_eff"],
         [(year, result.point, result.ci_low, result.ci_high, result.B_effective)],
         title=f"Bootstrap lambda2 (level={cfg.bootstrap.level})",
     )
-    _emit(cfg.output_dir, "bootstrap", payload, table, args.table)
+    _emit(cfg, "bootstrap", {"year": year, **to_json(result)}, table, args.table)
     return EXIT_OK
 
 
@@ -168,10 +163,9 @@ def cmd_permute(args) -> int:
     t_obs = float(np.mean(va) - np.mean(vb))
     results = {"group_a": ga, "group_b": gb, "n_a": len(va), "n_b": len(vb),
                "t_obs": t_obs, "n_perm": args.n_perm, "p_value": p}
-    payload = envelope("permute", to_json(cfg), results)
     table = render_table(["groups", "T_obs", "p_value"],
                          [(f"{ga} vs {gb}", t_obs, p)], title="Permutation test")
-    _emit(cfg.output_dir, "permute", payload, table, args.table)
+    _emit(cfg, "permute", results, table, args.table)
     return EXIT_OK
 
 
@@ -182,14 +176,13 @@ def cmd_placebo(args) -> int:
         exposures = exposure_from_csv_text(fh.read())
     net = build_network(exposures, cfg.method.min_edge_threshold)
     result = placebo_null(net, n_draws=args.n_draws, seed=cfg.seed)
-    payload = envelope("placebo", to_json(cfg), result.to_json_dict())
     table = render_table(
         ["observed", "null_mean", "percentile", "tied"],
         [(result.observed, float(np.mean(result.null_lambda2)),
           result.percentile, str(result.tied))],
         title=f"Placebo null ({args.n_draws} weight shuffles)",
     )
-    _emit(cfg.output_dir, "placebo", payload, table, args.table)
+    _emit(cfg, "placebo", result, table, args.table)
     return EXIT_OK
 
 
@@ -220,14 +213,13 @@ def cmd_did(args) -> int:
         "base_year": cfg.did.base_year,
         "quantile": cfg.did.quantile,
         "n_treated": len(treatment.treated_ids()),
-        **result.to_json_dict(),
+        **to_json(result),
     }
-    payload = envelope("did", to_json(cfg), results)
     rows = [(term, result.coefficients[term], result.clustered_se[term])
             for term in sorted(result.coefficients) if term.startswith("treated_post")]
     table = render_table(["term", "coef", "clustered_se"], rows,
                          title="Difference-in-differences (two-way FE)")
-    _emit(cfg.output_dir, "did", payload, table, args.table)
+    _emit(cfg, "did", results, table, args.table)
     return EXIT_OK
 
 
@@ -251,7 +243,6 @@ def cmd_fit(args) -> int:
                 except ValueError:
                     continue  # header or stray text
     result = fit_distributions(values, x_min=args.x_min, scan_xmin=args.scan_xmin)
-    payload = envelope("fit", to_json(cfg), result.to_json_dict())
     label = {"lognormal": "Lognormal", "power_law": "Power law",
              "inconclusive": "Inconclusive"}[result.best_fit]
     table = render_table(
@@ -259,7 +250,7 @@ def cmd_fit(args) -> int:
         [(result.alpha_hat, result.lr_pl_vs_ln, result.p_value, result.ks_stat)],
         title="Tail distribution comparison",
     ) + f"Best Fit: {label}\n"
-    _emit(cfg.output_dir, "fit", payload, table, args.table)
+    _emit(cfg, "fit", result, table, args.table)
     if not args.table:
         sys.stdout.write(f"Best Fit: {label}\n")
     return EXIT_OK

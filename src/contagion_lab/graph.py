@@ -333,14 +333,17 @@ def top_k_share(values: np.ndarray, k: int) -> float:
 
 @dataclass(frozen=True)
 class TopologyReport:
-    """Concentration, spectral, and centralization summary of one network."""
+    """Concentration, spectral, and centralization summary of one network.
+
+    ``assortativity`` is None where ``assortativity_defined`` is False.
+    """
 
     n: int
     gini: float
     hhi: float
     top_k_share: dict[int, float]
     cr3: float
-    assortativity: float
+    assortativity: float | None
     assortativity_defined: bool
     spectral_radius: float
     lambda_n: float
@@ -348,23 +351,6 @@ class TopologyReport:
     effective_resistance: float
     weighted_avg_degree: float
     centralization: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gini": self.gini,
-            "hhi": self.hhi,
-            "top_k_share": {str(k): v for k, v in self.top_k_share.items()},
-            "cr3": self.cr3,
-            "assortativity": None if not self.assortativity_defined else self.assortativity,
-            "assortativity_defined": self.assortativity_defined,
-            "spectral_radius": self.spectral_radius,
-            "lambda_n": self.lambda_n,
-            "spectral_gap": self.spectral_gap,
-            "effective_resistance": self.effective_resistance,
-            "weighted_avg_degree": self.weighted_avg_degree,
-            "centralization": dict(self.centralization),
-        }
 
 
 def weighted_degree_assortativity(net: WeightedNetwork) -> tuple[float, bool]:
@@ -487,7 +473,7 @@ def topology_report(spectrum: SpectrumResult, ks: Sequence[int] = (3, 5, 10)) ->
         hhi=hhi(d),
         top_k_share=shares,
         cr3=cr3,
-        assortativity=assort,
+        assortativity=assort if assort_def else None,
         assortativity_defined=assort_def,
         spectral_radius=spectral_radius,
         lambda_n=float(lap_vals[-1]),

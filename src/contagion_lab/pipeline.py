@@ -111,12 +111,21 @@ class RunConfig:
 
 
 def to_json(obj):
-    """The JSON form of a config: dataclasses as objects, tuples as lists."""
+    """The JSON form of a config or a result, read off its dataclass fields.
+
+    Dataclasses become objects without their ``compare=False`` fields, which
+    are not part of their value; tuples, lists and arrays become lists, and
+    dict keys strings.
+    """
     if is_dataclass(obj):
         out = {"kind": obj.kind} if isinstance(obj, RatioRule) else {}
-        return out | {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, tuple):
+        return out | {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.compare}
+    if isinstance(obj, (tuple, list)):
         return [to_json(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): to_json(v) for k, v in obj.items()}
     return obj
 
 
@@ -212,7 +221,8 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
 class YearReport:
     """One year's connectivity, decay parameters, and topology.
 
-    ``spectrum`` is kept for the eigenvalue CSV and is not serialized.
+    ``spectrum`` is kept for the eigenvalue CSV; as a ``compare=False`` field
+    it is not serialized.
     """
 
     year: int
@@ -224,18 +234,6 @@ class YearReport:
     n_components: int
     topology: TopologyReport
     spectrum: SpectrumResult = field(repr=False, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "year": self.year,
-            "n_banks": self.n_banks,
-            "lambda2": self.lambda2,
-            "kappa_eff": self.kappa_eff,
-            "d_star": self.d_star,
-            "lambda_n": self.lambda_n,
-            "n_components": self.n_components,
-            "topology": self.topology.to_json_dict(),
-        }
 
 
 def year_report(year: int, assets: np.ndarray, bank_ids: Sequence[str],
@@ -317,10 +315,7 @@ def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
 
 
 def analyze_results(reports: Sequence[YearReport]) -> dict:
-    return {
-        "years": [r.to_json_dict() for r in reports],
-        "summary": cross_year_summary(reports),
-    }
+    return to_json({"years": reports, "summary": cross_year_summary(reports)})
 
 
 def analyze_panel(panel: BankPanel, cfg: RunConfig) -> dict:
@@ -420,9 +415,15 @@ def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
     for t_index, year in enumerate(years):
         noise = rng.normal(0.0, noise_sigma, size=n_banks) if noise_sigma > 0 else np.zeros(n_banks)
         levels.append(base + year_drift * t_index + noise)
+    # ingest takes only finite assets > 0, so a level whose exp leaves the
+    # float range is rejected here, before exp warns, raises or writes 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        drawn = np.exp(levels)
+    if not np.all((0.0 < drawn) & (drawn < math.inf)):
+        raise _out_of_range(log_mean, log_sigma, treated_shrink)
     # treatment is decided on *observed* first-year assets so that
     # assign_treatment on the emitted panel recovers the same flags
-    observed0 = np.exp(levels[0])
+    observed0 = drawn[0]
     cutoff = np.quantile(observed0, treat_quantile)
     treated = observed0 > cutoff
     records = []
@@ -437,7 +438,14 @@ def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
                 year=year,
                 total_assets=float(math.exp(li)),
             ))
+    if any(r.total_assets == 0.0 for r in records):  # a shrunk level underflowed
+        raise _out_of_range(log_mean, log_sigma, treated_shrink)
     return records
+
+
+def _out_of_range(log_mean: float, log_sigma: float, treated_shrink: float) -> ConfigError:
+    return ConfigError(f"log_mean {log_mean!r}, log_sigma {log_sigma!r} and treated_shrink "
+                       f"{treated_shrink!r} give an asset level that is not a finite float > 0")
 
 
 def synth_panel_csv(n_banks: int, years: Sequence[int], **kwargs) -> str:
@@ -500,15 +508,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def envelope(command: str, cfg_dict: dict, results: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": cfg_dict,
-        "results": results,
-    }
 
 
 def dump_json(obj: dict) -> str:

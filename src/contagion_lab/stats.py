@@ -54,19 +54,6 @@ class BootstrapResult:
     B_effective: int
     n_degenerate: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "replicates": [float(v) for v in self.replicates],
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "level": self.level,
-            "seed": self.seed,
-            "B": self.B,
-            "B_effective": self.B_effective,
-            "n_degenerate": self.n_degenerate,
-        }
-
 
 def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
                       cfg: ReconstructionConfig,
@@ -177,14 +164,6 @@ class PlaceboResult:
     percentile: float
     tied: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "null_lambda2": [float(v) for v in self.null_lambda2],
-            "observed": self.observed,
-            "percentile": self.percentile,
-            "tied": self.tied,
-        }
-
 
 def placebo_null(net: WeightedNetwork, n_draws: int = 1000,
                  seed: int = 0) -> PlaceboResult:
@@ -243,23 +222,6 @@ class FitComparison:
     ks_exponential: float
     n_tail: int
     best_fit: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "x_min": self.x_min,
-            "lognormal_mu": self.lognormal_mu,
-            "lognormal_sigma": self.lognormal_sigma,
-            "exp_rate": self.exp_rate,
-            "lr_pl_vs_ln": self.lr_pl_vs_ln,
-            "vuong_stat": self.vuong_stat,
-            "p_value": self.p_value,
-            "ks_stat": self.ks_stat,
-            "ks_lognormal": self.ks_lognormal,
-            "ks_exponential": self.ks_exponential,
-            "n_tail": self.n_tail,
-            "best_fit": self.best_fit,
-        }
 
 
 def power_law_mle(sample: Sequence[float] | np.ndarray, x_min: float) -> float:
@@ -390,17 +352,6 @@ class ChowResult:
     low_power: bool
     df: tuple[int, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "break_candidate": self.break_candidate,
-            "f_stat": self.f_stat,
-            "p_value": self.p_value,
-            "regime_means": list(self.regime_means),
-            "model": self.model,
-            "low_power": self.low_power,
-            "df": list(self.df),
-        }
-
 
 def _ols_rss(t: np.ndarray, y: np.ndarray, with_slope: bool) -> float:
     if with_slope:
@@ -475,16 +426,6 @@ class DidResult:
     n_obs: int
     n_banks: int
     degenerate_terms: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": dict(self.coefficients),
-            "clustered_se": dict(self.clustered_se),
-            "r_squared": self.r_squared,
-            "n_obs": self.n_obs,
-            "n_banks": self.n_banks,
-            "degenerate_terms": list(self.degenerate_terms),
-        }
 
 
 def _did_design(bank_ids: Sequence[str], years: Sequence[int],
@@ -637,14 +578,6 @@ class LeaveOneOutResult:
     lambda2_without: np.ndarray
     deviations_pct: np.ndarray
     max_abs_deviation_pct: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_lambda2": self.base_lambda2,
-            "lambda2_without": [float(v) for v in self.lambda2_without],
-            "deviations_pct": [float(v) for v in self.deviations_pct],
-            "max_abs_deviation_pct": self.max_abs_deviation_pct,
-        }
 
 
 def leave_one_out_lambda2(assets: Sequence[float] | np.ndarray,

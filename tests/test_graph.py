@@ -18,6 +18,7 @@ from contagion_lab.graph import (
     topology_report,
     weighted_degree_assortativity,
 )
+from contagion_lab.pipeline import to_json
 from contagion_lab.reconstruct import ExposureMatrix, max_entropy
 
 
@@ -341,8 +342,7 @@ class TestRelabeling:
         assert b.lambda2 == pytest.approx(a.lambda2, rel=1e-9)
         np.testing.assert_allclose(b.eigenvalues, a.eigenvalues, rtol=1e-9,
                                    atol=1e-9 * a.lambda_n)
-        assert_close_tree(topology_report(b).to_json_dict(),
-                          topology_report(a).to_json_dict())
+        assert_close_tree(to_json(topology_report(b)), to_json(topology_report(a)))
 
 
 def networkx_betweenness(net: WeightedNetwork) -> np.ndarray:

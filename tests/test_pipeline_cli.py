@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,24 @@ class TestCliCommands:
                     "--out", str(tmp_path / "panel.csv"))
         assert r.returncode == 2
         assert r.stderr == "error: years must be distinct, got 2018 more than once\n"
+        assert not (tmp_path / "panel.csv").exists()
+
+    @pytest.mark.parametrize("log_mean", ["800", "-800", "-735"])
+    def test_synth_assets_outside_float_range_rejected_before_writing(self, tmp_path, log_mean):
+        # exp(800) overflows (numpy warned, then math.exp raised OverflowError,
+        # exit 4) and exp(-800) is 0.0, which was written and which ingest rejects;
+        # at -735 only the treated banks' 0.999999-fold shrink underflows to 0.0
+        kwargs = {"treated_shrink": 0.999999, "treat_quantile": 0.0} if log_mean == "-735" else {}
+        flags = ("--shrink", "0.999999", "--quantile", "0") if kwargs else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="not a finite float > 0"):
+                synth_panel(5, [2018, 2021], log_mean=float(log_mean), **kwargs)
+        r = run_cli("synth", "--n", "5", "--log-mean", log_mean, *flags,
+                    "--out", str(tmp_path / "panel.csv"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "not a finite float > 0" in r.stderr and "Warning" not in r.stderr
         assert not (tmp_path / "panel.csv").exists()
 
     @pytest.mark.parametrize("command, flags, message", [

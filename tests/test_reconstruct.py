@@ -320,6 +320,28 @@ class TestMinDensity:
             assert np.abs(em.X.sum(axis=1) - A).max() <= 1e-9 * A.max()
             assert np.abs(em.X.sum(axis=0) - A).max() <= 1e-9 * A.max()
 
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.floats(0.05, 2.0),
+           st.floats(0.0, 0.5), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_marginals_met_within_2n_minus_1_edges(self, seed, n, sigma, reach,
+                                                           zero_share):
+        # independent A and L with sum(L) = sum(A), some banks only lending or
+        # only borrowing; ``reach`` pushes the largest bank toward A_i + L_i = total
+        rng = np.random.default_rng(seed)
+        A = rng.lognormal(0.0, sigma, n)
+        L = rng.lognormal(0.0, sigma, n)
+        A[rng.random(n) < zero_share] = 0.0
+        L[rng.random(n) < zero_share] = 0.0
+        assume(A.sum() > 0 and L.sum() > 0)
+        A[0] += reach * A.sum()
+        L *= A.sum() / L.sum()
+        assume(np.all(A + L < 0.98 * A.sum()))
+        em = min_density(A, L)
+        assert np.count_nonzero(em.X) <= 2 * n - 1
+        scale = max(A.max(), L.max())
+        assert np.abs(em.X.sum(axis=1) - A).max() <= 1e-9 * scale
+        assert np.abs(em.X.sum(axis=0) - L).max() <= 1e-9 * scale
+
     def test_round_off_residual_without_counterparty_finishes(self):
         # a column residual of ~1.6e-7 outlives every row residual here; it
         # is round-off, far inside the marginal tolerance

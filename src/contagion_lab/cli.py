@@ -125,10 +125,12 @@ def cmd_bootstrap(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
     panel = _load(cfg)
-    year = args.year if args.year is not None else panel.years[-1]
-    _, assets = panel.assets_for_year(year)
+    if cfg.bootstrap.year is None:
+        cfg = replace(cfg, bootstrap=replace(cfg.bootstrap, year=panel.years[-1]))
     if cfg.bootstrap.seed is None:
         cfg = replace(cfg, bootstrap=replace(cfg.bootstrap, seed=cfg.seed))
+    year = cfg.bootstrap.year
+    _, assets = panel.assets_for_year(year)
     result = bootstrap_lambda2(assets, cfg.method, B=cfg.bootstrap.B, level=cfg.bootstrap.level,
                                seed=cfg.bootstrap.seed, workers=cfg.workers)
     table = render_table(
@@ -272,7 +274,7 @@ def cmd_synth(args) -> int:
 
 # --- parser --------------------------------------------------------------------
 # A flag's ``dest`` names the config field it sets, and such a flag defaults to
-# None; flags that set no field (``--table``, ``--year``, ...) are read by commands.
+# None; flags that set no field (``--table``, ``--n-draws``, ...) are read by commands.
 
 def _year_list(text: str) -> tuple[int, ...]:
     try:

@@ -1,12 +1,23 @@
 """Weighted-graph construction, Laplacian spectra, and topology metrics.
 
 The Laplacian is L = D - W with D the diagonal weighted-degree matrix.
-A spectrum comes from dense symmetric eigensolvers on the largest
-connected component and on the block of the other nodes. Algebraic
-connectivity is always reported for the largest connected component.
-The one exception is ``factor_lambda2``: lambda2 alone of a complete
-network whose weights have the product form w_ij = p_i q_j + q_i p_j,
-counted in O(n) per trial value without forming L.
+Algebraic connectivity (lambda2) is always reported for the largest
+connected component, and comes from one of three paths:
+
+* ``laplacian_spectrum``, the dense path: one ``eigvalsh`` on the largest
+  component and one on the block of the other nodes, which gives the
+  whole spectrum. Every network can take it.
+* ``factor_lambda2``: lambda2 alone of a complete network whose weights
+  have the product form w_ij = p_i q_j + q_i p_j (max-entropy IPF
+  factors), counted in O(n) per trial value without forming L.
+* ``threshold_lambda2``: lambda2 alone of such a network with q = c p
+  after a threshold, a threshold graph with nested neighbourhoods,
+  counted in O(n) per trial value by an elimination that creates no fill.
+
+``pipeline.network_lambda2`` picks the path: the factor paths need the
+IPF factors, and the degree vector tells a complete network from a
+thresholded one; ``threshold_lambda2`` declines a mask that is not
+nested, which then takes the dense path.
 """
 
 from __future__ import annotations
@@ -212,8 +223,39 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
     )
 
 
-#: Fractions of the bracket probed by each multisection step of ``factor_lambda2``.
+#: Fractions of the bracket probed by each multisection step of ``_multisect``.
 _GRID = np.arange(1, 25) / 25
+
+#: ``threshold_lambda2`` needs q / p constant to this relative spread. The
+#: weights 2 u_i u_j, u = sqrt(p q), then differ from p_i q_j + q_i p_j by at
+#: most PROPORTIONAL_RTOL**2 / 8 relative, and so does every Laplacian eigenvalue.
+PROPORTIONAL_RTOL = 1e-7
+
+
+def _multisect(count, lo: float, hi: float) -> float:
+    """lambda2 in the bracket [lo, hi] from an eigenvalue count.
+
+    ``count(mu)`` returns, for an array of trial values, how many
+    eigenvalues lie below each one and whether that count is valid (a trial
+    value on a pivot gives none). Each step counts at 24 trial values across
+    the bracket in one vectorized pass, and the bracket ends at a relative
+    width of 4 eps.
+    """
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while hi - lo > 4.0 * eps * hi:
+            mu = lo + (hi - lo) * _GRID
+            below, valid = count(mu)
+            under = np.flatnonzero(valid & (below <= 1))
+            over = np.flatnonzero(valid & (below >= 2))
+            moved = False
+            if len(under) and mu[under[-1]] > lo:
+                lo, moved = mu[under[-1]], True
+            if len(over) and mu[over[0]] < hi:
+                hi, moved = mu[over[0]], True
+            if not moved:
+                break
+    return float(0.5 * (lo + hi))
 
 
 def factor_lambda2(p: np.ndarray, q: np.ndarray) -> float:
@@ -228,11 +270,10 @@ def factor_lambda2(p: np.ndarray, q: np.ndarray) -> float:
         #{delta_i < mu} + neg(S(mu)) - 1,   S(mu) = diag(2, -2) - B^T (Delta - mu)^-1 B,
 
     which costs O(n). lambda2 lies in [min delta, n/(n-1) min degree]
-    (interlacing and Fiedler's bound). Each step counts at 24 trial values
-    across that bracket in one vectorized pass, and the bracket ends at a
-    relative width of 4 eps. A trial value that lands on a delta_i gives a
-    non-finite S and is skipped. Banks repeated by a resample need no
-    special case: their identical rows of B add up in S.
+    (interlacing and Fiedler's bound), and ``_multisect`` narrows that
+    bracket. A trial value that lands on a delta_i gives a non-finite S and
+    is skipped. Banks repeated by a resample need no special case: their
+    identical rows of B add up in S.
 
     p and q are first rescaled to equal norms (p k, q / k, which leaves w
     unchanged), so S does not cancel catastrophically.
@@ -245,30 +286,101 @@ def factor_lambda2(p: np.ndarray, q: np.ndarray) -> float:
     b1, b2 = p + q, p - q
     weights = np.stack([b1 * b1, b1 * b2, b2 * b2])
 
-    lo = sorted_delta[0]
+    def count(mu):
+        f11, f12, f22 = np.einsum("mn,kn->km", 1.0 / (delta - mu[:, None]), weights)
+        s11, s22 = 2.0 - f11, -2.0 - f22
+        det = s11 * s22 - f12 * f12
+        neg = (det < 0) + 2 * ((det > 0) & (s11 + s22 < 0))
+        below = np.searchsorted(sorted_delta, mu) + neg - 1
+        return below, np.isfinite(det) & (det != 0)
+
     hi = float((delta - 2.0 * p * q).min()) * n / (n - 1)
     if n > 2:
         hi = min(hi, sorted_delta[2])
-    eps = np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while hi - lo > 4.0 * eps * hi:
-            mu = lo + (hi - lo) * _GRID
-            f11, f12, f22 = np.einsum("mn,kn->km", 1.0 / (delta - mu[:, None]), weights)
-            s11, s22 = 2.0 - f11, -2.0 - f22
-            det = s11 * s22 - f12 * f12
-            neg = (det < 0) + 2 * ((det > 0) & (s11 + s22 < 0))
-            below = np.searchsorted(sorted_delta, mu) + neg - 1
-            valid = np.isfinite(det) & (det != 0)
-            under = np.flatnonzero(valid & (below <= 1))
-            over = np.flatnonzero(valid & (below >= 2))
-            moved = False
-            if len(under) and mu[under[-1]] > lo:
-                lo, moved = mu[under[-1]], True
-            if len(over) and mu[over[0]] < hi:
-                hi, moved = mu[over[0]], True
-            if not moved:
-                break
-    return float(0.5 * (lo + hi))
+    return _multisect(count, sorted_delta[0], hi)
+
+
+def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray,
+                      deg: np.ndarray) -> float | None:
+    """lambda2 of the thresholded network w_ij = p_i q_j + q_i p_j on ``adj``, or None.
+
+    ``adj`` is the network's edge mask and ``deg`` its row counts. With
+    q = c p, w_ij = 2 u_i u_j for u = sqrt(p q), so a threshold on w keeps
+    the pairs with u_i u_j above a cut: a threshold graph (Chvatal & Hammer
+    1977). Ranked by decreasing u, each bank's neighbours are then the top
+    ``deg`` banks other than itself. Both facts are checked, on ``adj``
+    itself since rounding near the threshold could break the nesting, and
+    None is returned if either fails or no edge is left; the caller then
+    takes the dense path.
+
+    Nested neighbourhoods leave no fill when banks are eliminated in
+    increasing-u order. The banks with edges form the largest component: a
+    clique of the k top-ranked banks, and independent banks j, each joined
+    to the ranks [0, deg_j) of the clique. Eliminating the independent
+    banks gives pivots Delta_j - mu and leaves on the clique
+
+        diag(Delta_i - mu + 2 u_i^2) - [g_il u_i u_l],
+
+    where g_il is 2 plus 4 u_j^2 / (Delta_j - mu) summed over the independent
+    banks joined to both i and l. It depends only on the segment, between
+    two attachment ranks, that max(i, l) falls in. Going up from the bottom
+    segment, each is a diagonal D minus g u u^T: it has the negative
+    eigenvalues of D, plus [z < 0] - [g < 0] with z = 1/g - u^T D^-1 u
+    (Bunch, Nielsen & Sorensen 1978), and its Schur complement adds
+    1/z - g to the g of every segment above. So a count costs O(n) per
+    trial value, and ``_multisect`` narrows [0, m/(m-1) min Delta]
+    (Fiedler's bound on the m banks with edges). A trial value on a pivot,
+    or one that makes a segment singular, is skipped.
+    """
+    ratio = q / p
+    if ratio.max() - ratio.min() > PROPORTIONAL_RTOL * ratio.min():
+        return None
+    u = np.sqrt(p * q)
+    n = len(u)
+    order = np.argsort(-u, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    last = n - 1 - np.argmax(adj[:, order[::-1]], axis=1)  # largest neighbour rank
+    if np.any((deg > 0) & (last != deg - 1 + (rank < deg))):
+        return None
+    d = deg[order]
+    m = int(np.count_nonzero(d))  # nesting puts the banks without edges last
+    if m < 2:
+        return None
+    u, d = u[order[:m]], d[:m]
+    prefix = np.concatenate([[0.0], np.cumsum(u)])  # prefix[t] = sum of the top t u
+    k = int(np.count_nonzero(d > np.arange(m)))
+    uc, ui, att = u[:k], u[k:], d[k:]
+    clique_diag = 2.0 * uc * prefix[d[:k] + 1]     # Delta_i + 2 u_i^2
+    piv = 2.0 * ui * prefix[att]                   # Delta_j
+    delta_min = min(float((clique_diag - 2.0 * uc * uc).min()), float(piv.min(initial=np.inf)))
+
+    ends = np.union1d(att, [k])                    # segment i is [starts[i], ends[i])
+    starts = np.concatenate([[0], ends[:-1]])
+    by_att = np.argsort(-att, kind="stable")
+    attached = np.searchsorted(-att[by_att], -ends, side="right")  # banks with att >= end
+    w = (4.0 * ui[by_att] ** 2)[:, None]
+    piv_by_att = piv[by_att][:, None]
+    diagonal = np.sort(np.concatenate([piv, clique_diag]))
+    uc2, clique_diag = (uc * uc)[:, None], clique_diag[:, None]
+    cum = np.zeros((len(ui) + 1, len(_GRID)))
+    hz = np.empty((2, len(ends), len(_GRID)))
+    h, z = hz
+
+    def count(mu):
+        np.cumsum(w / (piv_by_att - mu), axis=0, out=cum[1:])
+        g = 2.0 + cum[attached]             # g of each segment, before Schur updates
+        s = np.add.reduceat(uc2 / (clique_diag - mu), starts, axis=0)
+        h[-1] = 1.0 / g[-1]
+        z[-1] = h[-1] - s[-1]
+        for i in range(len(ends) - 2, -1, -1):
+            np.divide(1.0, 1.0 / z[i + 1] + g[i] - g[i + 1], out=h[i])
+            np.subtract(h[i], s[i], out=z[i])
+        neg_h, neg_z = (hz < 0).sum(axis=1)
+        below = np.searchsorted(diagonal, mu) + neg_z - neg_h
+        return below, np.isfinite(cum[-1]) & np.isfinite(s).all(axis=0) & (z != 0).all(axis=0)
+
+    return _multisect(count, 0.0, delta_min * m / (m - 1))
 
 
 def eigenvalues_csv_text(spectrum: SpectrumResult) -> str:

@@ -27,6 +27,7 @@ from .graph import (
     build_network,
     factor_lambda2,
     laplacian_spectrum,
+    threshold_lambda2,
     topology_report,
 )
 from .ingest import BankPanel, BankRecord, assign_treatment, panel_csv_text
@@ -46,11 +47,13 @@ OUTPUT_DIR_ENV = "CONTAGION_LAB_OUTPUT_DIR"
 
 @dataclass(frozen=True)
 class BootstrapSection:
-    """Bootstrap parameters; ``seed=None`` means the run's ``seed``."""
+    """Bootstrap parameters; ``seed=None`` means the run's ``seed`` and
+    ``year=None`` the last panel year."""
 
     B: int = 100
     level: float = 0.95
     seed: int | None = None
+    year: int | None = None
 
     def __post_init__(self):
         if self.B < 10:
@@ -206,14 +209,22 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep their IPF factors and the threshold left the
-    network complete, lambda2 comes from ``factor_lambda2`` in O(n) per
-    trial value; otherwise from ``laplacian_spectrum``.
+    When the exposures keep their IPF factors, lambda2 comes from an
+    eigenvalue count in O(n) per trial value: ``factor_lambda2`` if the
+    threshold left the network complete, else ``threshold_lambda2``. Every
+    other network, and one that ``threshold_lambda2`` declines, gets
+    ``laplacian_spectrum``.
     """
     exposures = reconstruct_exposures(assets, method)
     net = build_network(exposures, method.min_edge_threshold)
-    if exposures.factors is not None and np.count_nonzero(net.W) == net.n * (net.n - 1):
-        return factor_lambda2(*exposures.factors)
+    if exposures.factors is not None:
+        adj = net.W > 0
+        deg = adj.sum(axis=1)
+        if deg.min() == net.n - 1:
+            return factor_lambda2(*exposures.factors)
+        lam = threshold_lambda2(*exposures.factors, adj, deg)
+        if lam is not None:
+            return lam
     return laplacian_spectrum(net).lambda2
 
 

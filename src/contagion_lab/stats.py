@@ -342,10 +342,14 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
 
 @dataclass(frozen=True)
 class ChowResult:
-    """Chow F-test of a structural break at a candidate year."""
+    """Chow F-test of a structural break at a candidate year.
+
+    ``f_stat`` is None when both regimes fit exactly and the pooled fit does
+    not (an infinite F; ``p_value`` is then 0.0).
+    """
 
     break_candidate: int
-    f_stat: float
+    f_stat: float | None
     p_value: float
     regime_means: tuple[float, float]
     model: str  # "linear" or "intercept_only"
@@ -399,14 +403,13 @@ def chow_test(series: Mapping[int, float], break_year: int) -> ChowResult:
     tss = float(((y - y.mean()) ** 2).sum())
     tiny = 1e-12 * max(tss, 1e-300)
     if den <= tiny:
-        f_stat = 0.0 if num <= tiny else math.inf
+        f_stat = 0.0 if num <= tiny else None
     else:
-        f_stat = max(num / den, 0.0)
-    p_value = float(fdtrc(k, df2, f_stat)) if math.isfinite(f_stat) else 0.0
+        f_stat = float(max(num / den, 0.0))
     return ChowResult(
         break_candidate=break_year,
-        f_stat=float(f_stat),
-        p_value=p_value,
+        f_stat=f_stat,
+        p_value=0.0 if f_stat is None else float(fdtrc(k, df2, f_stat)),
         regime_means=(float(y[mask1].mean()), float(y[~mask1].mean())),
         model="linear" if with_slope else "intercept_only",
         low_power=not with_slope,

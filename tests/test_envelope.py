@@ -97,6 +97,13 @@ def test_undefined_assortativity_serializes_as_null():
     assert '"assortativity": null' in dump_json(doc)
 
 
+def test_chow_exact_split_fit_serializes():
+    # both regimes are constant, so each fits exactly and F is infinite
+    chow = chow_test({2015: 1.0, 2016: 1.0, 2017: 1.0, 2018: 2.0, 2019: 2.0, 2020: 2.0}, 2017)
+    doc = json.loads(dump_json(to_json(chow)))
+    assert doc["f_stat"] is None and doc["p_value"] == 0.0
+
+
 def test_results_no_command_writes_still_serialize():
     chow = chow_test({2015: 1.0, 2016: 1.4, 2017: 1.1, 2018: 2.6, 2019: 2.2, 2020: 2.9}, 2017)
     doc = json.loads(dump_json(to_json(chow)))

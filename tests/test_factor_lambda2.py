@@ -1,10 +1,11 @@
-"""lambda2 of complete max-entropy networks from their IPF factors.
+"""lambda2 of max-entropy networks from their IPF factors.
 
 ``network_lambda2`` counts eigenvalues with ``factor_lambda2`` when the
 exposures keep their factors and the threshold leaves the network complete,
-and runs ``laplacian_spectrum`` otherwise. Dense ``eigvalsh`` of the
-network's Laplacian is the oracle; eigensolver counters guard which path a
-run takes.
+with ``threshold_lambda2`` when the threshold removed edges, and runs
+``laplacian_spectrum`` otherwise. Dense ``eigvalsh`` of the network's
+Laplacian (of its largest component) is the oracle; eigensolver counters
+guard which path a run takes.
 """
 
 import json
@@ -15,7 +16,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_connected_network
 from contagion_lab.errors import InfeasibleMarginals
-from contagion_lab.graph import WeightedNetwork, build_network, factor_lambda2, laplacian_spectrum
+from contagion_lab import pipeline
+from contagion_lab.graph import (
+    WeightedNetwork,
+    build_network,
+    factor_lambda2,
+    laplacian_spectrum,
+    threshold_lambda2,
+)
 from contagion_lab.ingest import BankPanel
 from contagion_lab.pipeline import RunConfig, network_lambda2, sweep_ratios, synth_panel
 from contagion_lab.reconstruct import ReconstructionConfig, reconstruct_exposures
@@ -107,6 +115,122 @@ class TestAgainstDenseEigvalsh:
             assert abs(factor_lambda2(*exposures.factors) - want) <= 1e-12 * want
 
 
+def threshold_between(net, quantile):
+    """An edge threshold halfway between two distinct weights of ``net``."""
+    w = np.unique(net.W[net.W > 0])
+    k = min(int(quantile * (len(w) - 1)), len(w) - 2)
+    return float(0.5 * (w[k] + w[k + 1]))
+
+
+def largest_component_lambda2(net):
+    """The oracle: dense ``eigvalsh`` of the largest component's Laplacian."""
+    return np.linalg.eigvalsh(net.subnetwork(net.components()[0]).laplacian())[1]
+
+
+@st.composite
+def thresholded_cases(draw):
+    """Assets and a threshold that removes some but not all edges: lognormal
+    sizes or resamples that repeat banks (tied u), with the threshold between
+    two distinct weights, exactly on one, or on the largest weight of the
+    smallest bank, which leaves that bank isolated."""
+    kind = draw(st.sampled_from(["lognormal", "repeated"]))
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sigma stays small enough that lambda_n / lambda2 keeps eigvalsh itself
+    # accurate to well under 1e-12 relative
+    assets = rng.lognormal(11.0, draw(st.floats(0.05, 1.2)), n)
+    if kind == "repeated":
+        assets = assets[rng.integers(0, draw(st.integers(1, n)), n)]
+    _, net = maxent_network(assets)
+    w = np.unique(net.W[net.W > 0])
+    assume(len(w) >= 2)
+    where = draw(st.sampled_from(["between", "on", "isolating"]))
+    if where == "isolating":
+        epsilon = float(net.W[np.argmin(assets)].max())
+    else:
+        k = draw(st.integers(0, len(w) - 2))
+        epsilon = float(w[k] if where == "on" else 0.5 * (w[k] + w[k + 1]))
+    assume(epsilon < w[-1])
+    return assets, ReconstructionConfig(min_edge_threshold=epsilon), where
+
+
+class TestThresholdedAgainstDenseEigvalsh:
+    @given(thresholded_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigvalsh_of_the_largest_component(self, case):
+        assets, method, where = case
+        exposures, net = maxent_network(assets, method)
+        adj = net.W > 0
+        deg = adj.sum(axis=1)
+        assert deg.min() < net.n - 1 and deg.max() > 0
+        if where == "isolating":
+            assert deg.min() == 0
+        with np.errstate(all="raise"):
+            got = threshold_lambda2(*exposures.factors, adj, deg)
+        assert got is not None
+        want = largest_component_lambda2(net)
+        assert abs(got - want) <= 1e-12 * want
+        assert network_lambda2(assets, method) == got
+
+    @pytest.mark.parametrize("n, epsilon", [(300, 5.0), (1000, 30.0)])
+    def test_paper_scale_lognormal(self, n, epsilon):
+        method = ReconstructionConfig(min_edge_threshold=epsilon)
+        for seed in range(2):
+            assets = np.random.default_rng(seed).lognormal(11.0, 1.0, n)
+            exposures, net = maxent_network(assets, method)
+            adj = net.W > 0
+            got = threshold_lambda2(*exposures.factors, adj, adj.sum(axis=1))
+            want = largest_component_lambda2(net)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_star_and_clique_with_isolated_banks(self):
+        # a star (the clique is the largest bank alone), and a clique of the
+        # three largest banks with the other two isolated
+        for u, cut in [([5.0, 2.0, 1.5, 1.0], 4.5), ([4.0, 3.0, 2.5, 1.0, 0.5], 7.0)]:
+            u = np.array(u)
+            W = np.outer(u, u)
+            np.fill_diagonal(W, 0.0)
+            W[W <= cut] = 0.0
+            net = WeightedNetwork(tuple("abcde"[:len(u)]), 2.0 * W)
+            adj = net.W > 0
+            got = threshold_lambda2(u, u, adj, adj.sum(axis=1))
+            want = largest_component_lambda2(net)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_trial_value_on_a_pivot(self):
+        # banks 0-2 form the clique; bank 3 attaches to ranks 0-1 and bank 4
+        # to rank 0. The first step's trial values are 6.4 t, and bank 3's
+        # pivot Delta_3 = 2 u_3 (u_0 + u_1) = 147.2 = 6.4 * 23 exactly: its
+        # count divides by zero there
+        u = np.array([64.0, 4.0, 3.0, 1.0823529411764707, 1.0])
+        W = 2.0 * np.outer(u, u)
+        np.fill_diagonal(W, 0.0)
+        W[W <= 8.4] = 0.0
+        adj = W > 0
+        assert adj.sum(axis=1).tolist() == [4, 3, 2, 2, 1]
+        assert 2.0 * u[3] * (u[0] + u[1]) == 160.0 * (23 / 25)
+        want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
+        assert threshold_lambda2(u, u, adj, adj.sum(axis=1)) == pytest.approx(want, rel=1e-13)
+
+    def test_declines_what_it_cannot_count(self):
+        u = np.array([4.0, 3.0, 2.0, 1.0])
+        W = 2.0 * np.outer(u, u)
+        np.fill_diagonal(W, 0.0)
+        W[W <= 9.0] = 0.0          # keeps 0-1, 0-2 and 1-2
+        adj = W > 0
+        deg = adj.sum(axis=1)
+        assert threshold_lambda2(u, u, adj, deg) is not None
+        # q not proportional to p
+        assert threshold_lambda2(u, u * [1.0, 1.0, 1.0, 1.0 + 1e-6], adj, deg) is None
+        # bank 3 joined to bank 2 but not to bank 0, which outranks bank 2
+        nested_not = adj.copy()
+        nested_not[2, 3] = nested_not[3, 2] = True
+        assert threshold_lambda2(u, u, nested_not, nested_not.sum(axis=1)) is None
+        # no edge left
+        none = np.zeros_like(adj)
+        assert threshold_lambda2(u, u, none, none.sum(axis=1)) is None
+
+
 class TestWhichPath:
     """Counters on ``np.linalg.eigvalsh``: a silent fallback to the dense path
     would pass every correctness test and lose the gain."""
@@ -129,24 +253,60 @@ class TestWhichPath:
         assert res.B_effective == 20
         assert eigvalsh_calls == []
 
-    def test_thresholded_networks_make_one_call_per_block(self, eigvalsh_calls):
+    @pytest.fixture
+    def components_calls(self, monkeypatch):
+        calls = []
+        real = WeightedNetwork.components
+
+        def counted(net):
+            calls.append(net.n)
+            return real(net)
+
+        monkeypatch.setattr(WeightedNetwork, "components", counted)
+        return calls
+
+    def test_thresholded_networks_make_no_eigvalsh_call(self, eigvalsh_calls, components_calls):
         assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
         _, net = maxent_network(assets)
-        # between two distinct weights, so no weight sits on the threshold
-        w = np.unique(net.W[net.W > 0])
-        k = len(w) // 3
-        method = ReconstructionConfig(min_edge_threshold=float(0.5 * (w[k] + w[k + 1])))
+        method = ReconstructionConfig(min_edge_threshold=threshold_between(net, 1 / 3))
         B, seed = 20, 5
         bootstrap_lambda2(assets, method, B=B, seed=seed)
+        leave_one_out_lambda2(assets, method)
+        assert eigvalsh_calls == [] and components_calls == []
         samples = [assets] + [assets[_replicate_rng(seed, b).integers(0, 40, size=40)]
                               for b in range(B)]
-        blocks = removed = 0
-        for sample in samples:
-            _, net = maxent_network(sample, method)
-            blocks += 1 if len(net.components()) == 1 else 2
-            removed += net.n * (net.n - 1) - np.count_nonzero(net.W)
+        removed = sum(net.n * (net.n - 1) - np.count_nonzero(net.W)
+                      for net in (maxent_network(sample, method)[1] for sample in samples))
         assert removed > 0
-        assert len(eigvalsh_calls) == blocks
+
+    def test_networks_without_factors_make_one_call_per_block(self, eigvalsh_calls):
+        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
+        for epsilon, blocks in ((0.0, 1), (100.0, 2)):  # 100 isolates three banks
+            method = ReconstructionConfig(method="kde", min_edge_threshold=epsilon)
+            eigvalsh_calls.clear()
+            got = network_lambda2(assets, method)
+            assert len(eigvalsh_calls) == blocks
+            net = build_network(reconstruct_exposures(assets, method), epsilon)
+            assert (len(net.components()) > 1) == (blocks == 2)
+            assert got == laplacian_spectrum(net).lambda2
+
+    def test_mask_that_is_not_nested_takes_the_dense_path(self, monkeypatch, eigvalsh_calls):
+        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
+        _, net = maxent_network(assets)
+        method = ReconstructionConfig(min_edge_threshold=threshold_between(net, 1 / 3))
+        exposures, thresholded = maxent_network(assets, method)
+        # join the two smallest banks, which the threshold had separated
+        a, b = np.argsort(assets)[:2]
+        W = thresholded.W.copy()
+        assert W[a, b] == 0.0
+        W[a, b] = W[b, a] = net.W[a, b]
+        edited = WeightedNetwork(thresholded.bank_ids, W)
+        adj = W > 0
+        assert threshold_lambda2(*exposures.factors, adj, adj.sum(axis=1)) is None
+        monkeypatch.setattr(pipeline, "build_network", lambda exposures, epsilon: edited)
+        got = network_lambda2(assets, method)
+        assert len(eigvalsh_calls) == (1 if len(edited.components()) == 1 else 2)
+        assert got == laplacian_spectrum(edited).lambda2
 
     def test_leave_one_out_and_sweep_take_the_structured_path(self, eigvalsh_calls):
         assets = np.random.default_rng(4).lognormal(11.0, 0.5, 12)

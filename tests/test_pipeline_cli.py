@@ -612,7 +612,7 @@ class TestCliCommands:
         panel.write_text(synth_panel_csv(12, [2018, 2021], seed=1, log_sigma=0.5))
         runs = {"analyze": ("--epsilon", "0", "--rho", "0.04"),
                 "sweep": ("--sweep-max", "0.05", "--sweep-steps", "3", "--size-dependent"),
-                "bootstrap": ("-B", "12", "--level", "0.8", "--seed", "5"),
+                "bootstrap": ("-B", "12", "--level", "0.8", "--seed", "5", "--year", "2018"),
                 "did": ("--base-year", "2018", "--quantile", "0.5", "--years", "2018,2021")}
         for command, flags in runs.items():
             out = tmp_path / command
@@ -626,6 +626,9 @@ class TestCliCommands:
             again = json.loads((out / f"{command}.json").read_text())
             assert dump_json(again["results"]) == dump_json(first["results"]), command
             assert again["config"] == first["config"], command
+            if command == "bootstrap":
+                # not the last panel year: a rerun that lost --year would resample 2021
+                assert again["results"]["year"] == again["config"]["bootstrap"]["year"] == 2018
 
     def test_eigenvalue_csv_is_complete_spectrum_at_150_banks(self, tmp_path):
         panel = tmp_path / "panel.csv"
@@ -687,8 +690,8 @@ def test_cli_import_loads_neither_scipy_stats_nor_networkx():
 
 
 def test_bootstrap_and_sweep_run_without_scipy(tmp_path):
-    # at --epsilon 0 both run on the structured path, with no eigvalsh call;
-    # at --epsilon 30 the threshold removes edges, so some networks take the dense path
+    # at --epsilon 0 the networks are complete and at --epsilon 30 the threshold
+    # removes edges; both run on the structured paths, with no eigvalsh call
     panel = tmp_path / "panel.csv"
     panel.write_text(synth_panel_csv(12, [2018, 2021], seed=4, log_sigma=0.8))
     common = f"'--input', {str(panel)!r}, '--output-dir', {str(tmp_path)!r}"
@@ -700,7 +703,7 @@ def test_bootstrap_and_sweep_run_without_scipy(tmp_path):
             "assert calls == [], len(calls)\n"
             f"assert cli.main(['bootstrap', {common}, '-B', '12', '--epsilon', '30']) == 0\n"
             f"assert cli.main(['sweep', {common}, '--epsilon', '30', '--sweep-steps', '3']) == 0\n"
-            "assert calls\n"
+            "assert calls == [], len(calls)\n"
             f"print({SCIPY_OR_NETWORKX})")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -18,7 +18,6 @@ from .graph import (
     SpectrumResult,
     TopologyReport,
     WeightedNetwork,
-    algebraic_connectivity,
     build_network,
     degree_sequence,
     fiedler_partition,
@@ -42,7 +41,6 @@ from .reconstruct import (
     ReconstructionConfig,
     SizeThresholdRatio,
     TieredRatio,
-    apply_threshold,
     fitness_model,
     interbank_aggregates,
     kde_weights,
@@ -52,11 +50,9 @@ from .reconstruct import (
 )
 from .stats import (
     BootstrapResult,
-    ChowResult,
     DidResult,
     FitComparison,
     bootstrap_lambda2,
-    chow_test,
     did_regress,
     fit_distributions,
     leave_one_out_lambda2,

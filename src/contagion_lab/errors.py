@@ -26,7 +26,8 @@ class ConfigError(ContagionLabError, ValueError):
 # --- panel ingestion ---------------------------------------------------------
 
 class MalformedRow(ContagionLabError):
-    """A data row could not be parsed (bad numeric, missing or invalid assets)."""
+    """A data row could not be parsed (bad numeric, missing or invalid assets),
+    or an exposure CSV is empty, repeats a bank id or has rows out of header order."""
 
 
 class DuplicateKey(ContagionLabError):
@@ -53,10 +54,6 @@ class InvalidRatio(ContagionLabError):
 
 class ZeroTotal(ContagionLabError):
     """Aggregate interbank positions sum to zero; nothing to distribute."""
-
-
-class DegenerateBandwidth(ContagionLabError):
-    """Kernel bandwidth is non-positive and fallbacks are disabled."""
 
 
 class InfeasibleMarginals(ContagionLabError):

@@ -391,10 +391,6 @@ def eigenvalues_csv_text(spectrum: SpectrumResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def algebraic_connectivity(net: WeightedNetwork) -> float:
-    return laplacian_spectrum(net).lambda2
-
-
 def fiedler_partition(spectrum: SpectrumResult) -> tuple[set, set]:
     """Bipartition the largest component by the sign of the Fiedler vector.
 

@@ -392,16 +392,15 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
 def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
                 log_mean: float = 11.0, log_sigma: float = 1.0,
                 treated_shrink: float = 0.0, shrink_from_year: int = 2021,
-                treat_quantile: float = 0.75, noise_sigma: float = 0.02,
-                year_drift: float = 0.0) -> list[BankRecord]:
+                treat_quantile: float = 0.75, noise_sigma: float = 0.02) -> list[BankRecord]:
     """Deterministic synthetic bank panel with lognormal sizes.
 
     Base-year assets are lognormal(log_mean, log_sigma). Banks above the
     ``treat_quantile`` of base-year assets shrink by ``treated_shrink``
     (a fraction) in every year >= ``shrink_from_year``, mimicking
     differential deleveraging of the largest institutions. Idiosyncratic
-    lognormal noise of scale ``noise_sigma`` and a common per-year drift
-    complete the data-generating process.
+    lognormal noise of scale ``noise_sigma`` completes the data-generating
+    process.
     """
     if n_banks < 3:
         raise ConfigError(f"need at least 3 banks, got {n_banks}")
@@ -422,10 +421,8 @@ def synth_panel(n_banks: int, years: Sequence[int], seed: int = 0,
         raise ConfigError(f"years must be distinct, got {repeated[0]} more than once")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     base = rng.normal(log_mean, log_sigma, size=n_banks)
-    levels = []
-    for t_index, year in enumerate(years):
-        noise = rng.normal(0.0, noise_sigma, size=n_banks) if noise_sigma > 0 else np.zeros(n_banks)
-        levels.append(base + year_drift * t_index + noise)
+    levels = [base + rng.normal(0.0, noise_sigma, size=n_banks) if noise_sigma > 0 else base
+              for _ in years]
     # ingest takes only finite assets > 0, so a level whose exp leaves the
     # float range is rejected here, before exp warns, raises or writes 0.0
     with np.errstate(over="ignore", under="ignore"):

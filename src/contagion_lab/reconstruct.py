@@ -17,16 +17,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateBandwidth,
     InfeasibleMarginals,
     InvalidRatio,
+    MalformedRow,
     ZeroTotal,
 )
 
@@ -138,8 +138,8 @@ class ReconstructionConfig:
 class ExposureMatrix:
     """Dense non-negative bilateral exposure estimate with marginal metadata.
 
-    ``marginals_fitted`` is False for methods/edits that intentionally do
-    not reproduce the per-bank targets (KDE weighting, thresholding).
+    ``marginals_fitted`` is False for methods that intentionally do not
+    reproduce the per-bank targets (KDE weighting).
     ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal,
     when ``X`` was built from them (max-entropy IPF); otherwise None.
     """
@@ -197,11 +197,22 @@ class ExposureMatrix:
 def exposure_from_csv_text(text: str) -> ExposureMatrix:
     """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`.
 
+    Each row is labelled with the header's bank id at its position; an
+    empty text, a repeated id or a row out of that order raises MalformedRow.
     Marginal targets are taken as the realized row/column sums.
     """
     rows = list(csv.reader(io.StringIO(text)))
-    header = rows[0][1:]
-    ids = tuple(header)
+    if not rows:
+        raise MalformedRow("empty exposure CSV: no header row")
+    ids = tuple(rows[0][1:])
+    if len(set(ids)) < len(ids):
+        twice = next(b for b in ids if ids.count(b) > 1)
+        raise MalformedRow(f"header: bank id {twice!r} appears more than once")
+    for row_no, (row, bank) in enumerate(zip(rows[1:], ids), start=2):
+        label = row[0] if row else ""
+        if label != bank:
+            raise MalformedRow(f"row {row_no}: label {label!r} is not the header's "
+                               f"bank id {bank!r} at that position")
     X = np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=float)
     return ExposureMatrix(bank_ids=ids, X=X, row_targets=X.sum(axis=1),
                           col_targets=X.sum(axis=0), method="loaded")
@@ -319,8 +330,7 @@ def silverman_bandwidth(assets: np.ndarray) -> float:
 
 
 def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
-                bank_ids: Sequence[str] | None = None,
-                allow_fallback: bool = True) -> ExposureMatrix:
+                bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
     """Non-parametric exposures weighted by products of kernel density values.
 
     A Gaussian kernel density with Silverman bandwidth is evaluated at each
@@ -330,8 +340,7 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
 
     If the Silverman bandwidth degenerates (IQR = 0), falls back to
     0.9*sigma*n^(-1/5); if sigma is zero too, falls back to uniform weights
-    with a flag. With ``allow_fallback=False`` those cases raise
-    DegenerateBandwidth instead.
+    with a flag.
     """
     T = np.asarray(assets, dtype=float)
     n = len(T)
@@ -349,8 +358,6 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
         if h > 0:
             flags.append("bandwidth_fallback_sigma")
     if h <= 0:
-        if not allow_fallback:
-            raise DegenerateBandwidth("bandwidth <= 0 (all assets identical)")
         flags.append("uniform_weight_fallback")
 
     if h > 0:
@@ -452,28 +459,6 @@ def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(n)
     return ExposureMatrix(bank_ids=ids, X=X, row_targets=A, col_targets=L,
                           method="min_density")
-
-
-def apply_threshold(exposures: ExposureMatrix, epsilon: float) -> ExposureMatrix:
-    """Zero out bilateral pairs whose symmetric sum x_ij + x_ji is <= epsilon.
-
-    Marginals are not re-fit afterwards; the result carries
-    ``marginals_fitted=False`` and a flag when anything was dropped.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    X = exposures.X.copy()
-    s = X + X.T
-    drop = s <= epsilon
-    np.fill_diagonal(drop, False)
-    dropped = bool(np.any(drop & (s > 0)))
-    if not dropped:
-        return exposures
-    X[drop] = 0.0
-    flags = exposures.flags + ("thresholded",)
-    if not np.any(X > 0):
-        flags = flags + ("all_edges_below_threshold",)
-    return replace(exposures, X=X, marginals_fitted=False, flags=flags, factors=None)
 
 
 def reconstruct_exposures(assets: Sequence[float] | np.ndarray,

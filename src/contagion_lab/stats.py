@@ -199,6 +199,10 @@ def placebo_null(net: WeightedNetwork, n_draws: int = 1000,
 
 # --- distribution fitting -------------------------------------------------------
 
+#: Fewest tail points a fit accepts above x_min.
+MIN_TAIL = 10
+
+
 @dataclass(frozen=True)
 class FitComparison:
     """Power-law vs lognormal vs exponential tail fits above x_min.
@@ -245,8 +249,7 @@ def _ks_statistic(sorted_tail: np.ndarray, cdf: np.ndarray) -> float:
 
 def fit_distributions(sample: Sequence[float] | np.ndarray,
                       x_min: float | None = None,
-                      scan_xmin: bool = False,
-                      min_tail: int = 10) -> FitComparison:
+                      scan_xmin: bool = False) -> FitComparison:
     """Fit and compare tail distributions above x_min.
 
     Power law: closed-form MLE. Lognormal: mu, sigma are the mean and
@@ -258,7 +261,7 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
 
     ``x_min`` defaults to the sample minimum; ``scan_xmin=True`` instead
     scans candidate x_min values and keeps the one minimizing the
-    power-law KS statistic (leaving at least ``min_tail`` points).
+    power-law KS statistic (leaving at least ``MIN_TAIL`` points).
     """
     from scipy.special import ndtr  # here, not at the top: no other CLI command loads it
 
@@ -270,14 +273,13 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
         ordered = np.sort(x)
         candidates = np.unique(x)
         tail_counts = len(x) - np.searchsorted(ordered, candidates, side="left")
-        candidates = candidates[tail_counts >= min_tail]
+        candidates = candidates[tail_counts >= MIN_TAIL]
         if len(candidates) == 0:
-            raise TooFewPoints(f"no x_min leaves {min_tail} tail points")
+            raise TooFewPoints(f"no x_min leaves {MIN_TAIL} tail points")
         best = None
         for cand in candidates:
             try:
-                fit = fit_distributions(x, x_min=float(cand), scan_xmin=False,
-                                        min_tail=min_tail)
+                fit = fit_distributions(x, x_min=float(cand), scan_xmin=False)
             except TooFewPoints:
                 continue
             if best is None or fit.ks_stat < best.ks_stat:
@@ -289,8 +291,8 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
     x_min = float(x.min()) if x_min is None else float(x_min)
     tail = np.sort(x[x >= x_min])
     m = len(tail)
-    if m < min_tail:
-        raise TooFewPoints(f"only {m} points above x_min, need {min_tail}")
+    if m < MIN_TAIL:
+        raise TooFewPoints(f"only {m} points above x_min, need {MIN_TAIL}")
     if tail[0] == tail[-1]:
         raise TooFewPoints("degenerate sample: zero variance above x_min")
 
@@ -335,85 +337,6 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
         exp_rate=exp_rate, lr_pl_vs_ln=lr, vuong_stat=vuong, p_value=p_value,
         ks_stat=ks_pl, ks_lognormal=ks_ln, ks_exponential=ks_exp,
         n_tail=m, best_fit=best_fit,
-    )
-
-
-# --- structural break -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChowResult:
-    """Chow F-test of a structural break at a candidate year.
-
-    ``f_stat`` is None when both regimes fit exactly and the pooled fit does
-    not (an infinite F; ``p_value`` is then 0.0).
-    """
-
-    break_candidate: int
-    f_stat: float | None
-    p_value: float
-    regime_means: tuple[float, float]
-    model: str  # "linear" or "intercept_only"
-    low_power: bool
-    df: tuple[int, int]
-
-
-def _ols_rss(t: np.ndarray, y: np.ndarray, with_slope: bool) -> float:
-    if with_slope:
-        X = np.column_stack([np.ones_like(t), t])
-    else:
-        X = np.ones((len(t), 1))
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    return float(resid @ resid)
-
-
-def chow_test(series: Mapping[int, float], break_year: int) -> ChowResult:
-    """Pooled vs regime-split regression F-test at ``break_year``.
-
-    Regime 1 is years <= break_year. Full linear regressions are used when
-    both regimes have at least 3 points; otherwise both regimes drop to
-    intercept-only comparisons (flagged low power), which is the only
-    estimable form on a 3-point series.
-    """
-    from scipy.special import fdtrc
-
-    years = np.array(sorted(series), dtype=float)
-    y = np.array([series[int(t)] for t in years], dtype=float)
-    n = len(years)
-    if n < 3:
-        raise InsufficientData("need at least 3 points")
-    mask1 = years <= break_year
-    n1, n2 = int(mask1.sum()), int((~mask1).sum())
-    if n1 == 0 or n2 == 0:
-        raise InsufficientData("break year leaves an empty regime")
-
-    with_slope = min(n1, n2) >= 3
-    k = 2 if with_slope else 1
-    df2 = n - 2 * k
-    if df2 < 1:
-        raise InsufficientData("no residual degrees of freedom for the split fit")
-
-    t = years - years.mean()  # centered for conditioning
-    rss_pooled = _ols_rss(t, y, with_slope)
-    rss1 = _ols_rss(t[mask1], y[mask1], with_slope)
-    rss2 = _ols_rss(t[~mask1], y[~mask1], with_slope)
-    num = (rss_pooled - rss1 - rss2) / k
-    den = (rss1 + rss2) / df2
-    # RSS values below roundoff of the data scale count as exact fits
-    tss = float(((y - y.mean()) ** 2).sum())
-    tiny = 1e-12 * max(tss, 1e-300)
-    if den <= tiny:
-        f_stat = 0.0 if num <= tiny else None
-    else:
-        f_stat = float(max(num / den, 0.0))
-    return ChowResult(
-        break_candidate=break_year,
-        f_stat=f_stat,
-        p_value=0.0 if f_stat is None else float(fdtrc(k, df2, f_stat)),
-        regime_means=(float(y[mask1].mean()), float(y[~mask1].mean())),
-        model="linear" if with_slope else "intercept_only",
-        low_power=not with_slope,
-        df=(k, df2),
     )
 
 

@@ -17,7 +17,7 @@ from contagion_lab import cli
 from contagion_lab.graph import WeightedNetwork, laplacian_spectrum, topology_report
 from contagion_lab.pipeline import dump_json, synth_panel_csv, to_json
 from contagion_lab.reconstruct import ReconstructionConfig, max_entropy
-from contagion_lab.stats import chow_test, leave_one_out_lambda2
+from contagion_lab.stats import leave_one_out_lambda2
 
 TOPOLOGY = {"n", "gini", "hhi", "top_k_share", "cr3", "assortativity", "assortativity_defined",
             "spectral_radius", "lambda_n", "spectral_gap", "effective_resistance",
@@ -97,18 +97,7 @@ def test_undefined_assortativity_serializes_as_null():
     assert '"assortativity": null' in dump_json(doc)
 
 
-def test_chow_exact_split_fit_serializes():
-    # both regimes are constant, so each fits exactly and F is infinite
-    chow = chow_test({2015: 1.0, 2016: 1.0, 2017: 1.0, 2018: 2.0, 2019: 2.0, 2020: 2.0}, 2017)
-    doc = json.loads(dump_json(to_json(chow)))
-    assert doc["f_stat"] is None and doc["p_value"] == 0.0
-
-
 def test_results_no_command_writes_still_serialize():
-    chow = chow_test({2015: 1.0, 2016: 1.4, 2017: 1.1, 2018: 2.6, 2019: 2.2, 2020: 2.9}, 2017)
-    doc = json.loads(dump_json(to_json(chow)))
-    assert doc["regime_means"] == list(chow.regime_means) and doc["df"] == list(chow.df)
-
     assets = np.random.default_rng(3).uniform(50.0, 100.0, 8)
     loo = leave_one_out_lambda2(assets, ReconstructionConfig(min_edge_threshold=0.0))
     doc = json.loads(dump_json(to_json(loo)))

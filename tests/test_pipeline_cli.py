@@ -417,6 +417,21 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "placebo.json").read_text())
         assert len(payload["results"]["null_lambda2"]) == 50
 
+    @pytest.mark.parametrize("text, message", [
+        ("bank_id,A,B,C,D\nW,0,1,1,1\nX,1,0,1,1\nY,1,1,0,1\nZ,1,1,1,0\n",
+         "row 2: label 'W' is not the header's bank id 'A' at that position"),
+        ("bank_id,A,B,C,A\nA,0,1,1,1\nB,1,0,1,1\nC,1,1,0,1\nA,1,1,1,0\n",
+         "header: bank id 'A' appears more than once"),
+        ("", "empty exposure CSV: no header row"),
+    ], ids=["rows-not-in-header-order", "repeated-bank-id", "empty-file"])
+    def test_placebo_rejects_malformed_exposure_csv(self, tmp_path, text, message):
+        path = tmp_path / "exposures.csv"
+        path.write_text(text)
+        r = run_cli("placebo", "--input", str(path), "--n-draws", "5",
+                    "--output-dir", str(tmp_path / "out"))
+        assert r.returncode == 4
+        assert r.stderr == f"error: {message}\n"
+
     def test_bootstrap_command_table(self, tmp_path):
         panel = tmp_path / "panel.csv"
         panel.write_text(synth_panel_csv(12, [2018], seed=1, log_sigma=0.5))

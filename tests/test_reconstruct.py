@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contagion_lab.errors import (
-    DegenerateBandwidth,
     InfeasibleMarginals,
     InvalidRatio,
     ZeroTotal,
 )
-from contagion_lab.graph import algebraic_connectivity, build_network
+from contagion_lab.graph import build_network, laplacian_spectrum
 from contagion_lab.reconstruct import (
     IPF_RTOL,
     ExposureMatrix,
@@ -19,7 +18,6 @@ from contagion_lab.reconstruct import (
     ReconstructionConfig,
     SizeThresholdRatio,
     TieredRatio,
-    apply_threshold,
     exposure_from_csv_text,
     fitness_model,
     interbank_aggregates,
@@ -88,6 +86,26 @@ def ipf_oracle(A, L, sweeps=200_000, rtol=1e-12):
     return X
 
 
+def first_order_correction(X: np.ndarray, A: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The change E that takes X to row sums A and column sums L, to first order.
+
+    The max-entropy solution is X* = diag(e^a) X diag(e^b) for some a, b
+    when X has its product form off the diagonal. Moving (a, b) moves the
+    row and column sums by J (a, b), J = [[diag(rows), X], [X^T, diag(cols)]],
+    and x_ij by x_ij (a_i + b_j). J is singular only along a = -b, which
+    leaves X unchanged, so its pseudo-inverse applied to the marginal
+    residual gives X* - X up to terms of second order in that residual;
+    the residual's reach into X is set by J's conditioning.
+    """
+    n = len(A)
+    rows, cols = X.sum(axis=1), X.sum(axis=0)
+    J = np.block([[np.diag(rows), X], [X.T, np.diag(cols)]])
+    ab = np.linalg.pinv(J) @ np.concatenate([A - rows, L - cols])
+    E = X * (ab[:n, None] + ab[None, n:])
+    np.fill_diagonal(E, 0.0)
+    return E
+
+
 class TestMaxEntropy:
     def test_two_banks_forced_single_counterparty(self):
         em = max_entropy([1.0, 1.0], [1.0, 1.0])
@@ -144,6 +162,11 @@ class TestMaxEntropy:
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.floats(0.05, 2.0),
            st.floats(0.0, 0.5))
+    # bank 0 holds (A_0 + L_0) / total = 0.970 in both; depending on the CPU's
+    # summation order, one of them stops the two iterations a sweep apart
+    # (1.8e-13 of max X)
+    @example(seed=8671, n=7, sigma=1.702, reach=0.283)
+    @example(seed=8671, n=7, sigma=1.7031, reach=0.283)
     @settings(max_examples=100, deadline=None)
     def test_factor_ipf_meets_marginals_and_matches_matrix_ras(self, seed, n, sigma, reach):
         # independent A and L with sum(L) = sum(A); ``reach`` pushes the largest
@@ -161,15 +184,21 @@ class TestMaxEntropy:
         scale = max(A.max(), L.max())
         assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * scale
         assert np.abs(em.X.sum(axis=0) - L).max() <= 2 * IPF_RTOL * scale
-        assert np.abs(em.X - matrix_ras(A, L)).max() <= 1e-13 * em.X.max()
+        # The two iterations are the same in exact arithmetic, but each stops
+        # at its own residual, so they may stop a sweep apart. Each is X* - E
+        # to first order, E its first_order_correction, hence |X_ipf - X_ras|
+        # is at most |E_ipf| + |E_ras| plus the rounding of sums of n terms.
+        ras = matrix_ras(A, L)
+        bound = (np.abs(first_order_correction(em.X, A, L))
+                 + np.abs(first_order_correction(ras, A, L))
+                 + 8 * n * np.finfo(float).eps * em.X.max())
+        assert np.all(np.abs(em.X - ras) <= bound)
 
     def test_factors_only_where_x_is_their_product(self):
         assert max_entropy([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]).factors is None  # boundary
         assert min_density([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).factors is None
         em = max_entropy([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
         assert em.factors is not None
-        assert apply_threshold(em, 0.0).factors is not None  # nothing dropped
-        assert apply_threshold(em, float(np.median(em.X + em.X.T))).factors is None
         with pytest.raises(ValueError, match="factors"):
             ExposureMatrix(bank_ids=em.bank_ids, X=em.X, row_targets=em.row_targets,
                            col_targets=em.col_targets, factors=(np.ones(3), np.ones(4)))
@@ -178,6 +207,18 @@ class TestMaxEntropy:
         # one bank holds more than half the total: no zero-diagonal solution
         with pytest.raises(InfeasibleMarginals):
             max_entropy([10.0, 1.0, 1.0], [10.0, 1.0, 1.0])
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleMarginals,
+                       reason="RAS converges sublinearly near the feasibility boundary "
+                              "and gives up after IPF_MAX_SWEEPS")
+    @pytest.mark.parametrize("n", [3, 10, 70])
+    def test_feasible_marginals_near_the_boundary_are_met(self, n):
+        # one bank holds 49.99% of the total: feasible, since A_0 + L_0 < total
+        others = np.random.default_rng(n).lognormal(0.0, 1.0, n - 1)
+        A = np.concatenate([[others.sum() * 0.4999 / 0.5001], others])
+        em = max_entropy(A, A.copy())
+        assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * A.max()
+        assert np.abs(em.X.sum(axis=0) - A).max() <= 2 * IPF_RTOL * A.max()
 
 
 def gaussian_kde_oracle(points, h):
@@ -220,10 +261,6 @@ class TestKdeWeights:
     def test_zero_total_rejected(self):
         with pytest.raises(ZeroTotal):
             kde_weights([1.0, 2.0], 0.0)
-
-    def test_degenerate_bandwidth_when_fallback_disabled(self):
-        with pytest.raises(DegenerateBandwidth):
-            kde_weights([5.0, 5.0, 5.0], 1.0, allow_fallback=False)
 
     def test_sigma_fallback_when_iqr_zero(self):
         # IQR of this 5-point sample is 0 but sigma is not
@@ -356,36 +393,6 @@ class TestMinDensity:
         assert np.abs(em.X.sum(axis=0) - L).max() <= 1e-9 * A.max()
 
 
-class TestApplyThreshold:
-    def exposures(self):
-        X = np.array([[0.0, 3.0, 0.2],
-                      [0.3, 0.0, 5.0],
-                      [0.2, 4.0, 0.0]])
-        return ExposureMatrix(bank_ids=("a", "b", "c"), X=X,
-                              row_targets=X.sum(axis=1), col_targets=X.sum(axis=0),
-                              method="loaded")
-
-    def test_epsilon_zero_is_identity(self):
-        em = self.exposures()
-        assert apply_threshold(em, 0.0) is em
-
-    def test_all_below_threshold_gives_zero_matrix_with_flag(self):
-        em = self.exposures()
-        out = apply_threshold(em, 100.0)
-        assert np.all(out.X == 0.0)
-        assert "all_edges_below_threshold" in out.flags
-        assert out.marginals_fitted is False
-
-    def test_mixed_pairs_direct_comparison(self):
-        em = self.exposures()
-        out = apply_threshold(em, 1.0)
-        # oracle: symmetric sums are ab=3.3, ac=0.4, bc=9.0; only ac dies
-        assert out.X[0, 2] == 0.0 and out.X[2, 0] == 0.0
-        assert out.X[0, 1] == 3.0 and out.X[1, 0] == 0.3
-        assert out.X[1, 2] == 5.0 and out.X[2, 1] == 4.0
-        assert "thresholded" in out.flags
-
-
 class TestScalingInvariant:
     def test_lambda2_linear_in_fixed_rho(self):
         rng = np.random.default_rng(17)
@@ -396,7 +403,7 @@ class TestScalingInvariant:
                                        ratio_rule=FixedRatio(rho),
                                        min_edge_threshold=0.0)
             em = reconstruct_exposures(assets, cfg)
-            lams[rho] = algebraic_connectivity(build_network(em, 0.0))
+            lams[rho] = laplacian_spectrum(build_network(em, 0.0)).lambda2
         base = lams[0.01] / 0.01
         for rho, lam in lams.items():
             assert math.isclose(lam, base * rho, rel_tol=1e-9)

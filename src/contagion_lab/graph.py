@@ -2,22 +2,20 @@
 
 The Laplacian is L = D - W with D the diagonal weighted-degree matrix.
 Algebraic connectivity (lambda2) is always reported for the largest
-connected component, and comes from one of three paths:
+connected component, and comes from one of two paths:
 
 * ``laplacian_spectrum``, the dense path: one ``eigvalsh`` on the largest
   component and one on the block of the other nodes, which gives the
   whole spectrum. Every network can take it.
-* ``factor_lambda2``: lambda2 alone of a complete network whose weights
-  have the product form w_ij = p_i q_j + q_i p_j (max-entropy IPF
-  factors), counted in O(n) per trial value without forming L.
-* ``threshold_lambda2``: lambda2 alone of such a network with q = c p
-  after a threshold, a threshold graph with nested neighbourhoods,
-  counted in O(n) per trial value by an elimination that creates no fill.
+* ``threshold_lambda2``: lambda2 alone of a network whose weights have the
+  product form w_ij = p_i q_j + q_i p_j (max-entropy IPF factors) with
+  q = c p, complete or thresholded: a threshold graph with nested
+  neighbourhoods, counted in O(n) per trial value by an elimination that
+  creates no fill.
 
-``pipeline.network_lambda2`` picks the path: the factor paths need the
-IPF factors, and the degree vector tells a complete network from a
-thresholded one; ``threshold_lambda2`` declines a mask that is not
-nested, which then takes the dense path.
+``pipeline.network_lambda2`` picks the path: the count needs the IPF
+factors, and ``threshold_lambda2`` declines a network it cannot count,
+which then takes the dense path.
 """
 
 from __future__ import annotations
@@ -258,57 +256,15 @@ def _multisect(count, lo: float, hi: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def factor_lambda2(p: np.ndarray, q: np.ndarray) -> float:
-    """lambda2 of the complete network w_ij = p_i q_j + q_i p_j (i != j), p, q > 0.
-
-    The Laplacian is L = Delta - B diag(1/2, -1/2) B^T with B = [p+q, p-q]
-    and Delta = diag(p sum(q) + q sum(p)): a diagonal minus a symmetric
-    rank-2 matrix (Golub 1973; Bunch, Nielsen & Sorensen 1978). By inertia
-    additivity on the bordered matrix [[Delta - mu, B], [B^T, diag(2, -2)]],
-    the number of eigenvalues below mu is
-
-        #{delta_i < mu} + neg(S(mu)) - 1,   S(mu) = diag(2, -2) - B^T (Delta - mu)^-1 B,
-
-    which costs O(n). lambda2 lies in [min delta, n/(n-1) min degree]
-    (interlacing and Fiedler's bound), and ``_multisect`` narrows that
-    bracket. A trial value that lands on a delta_i gives a non-finite S and
-    is skipped. Banks repeated by a resample need no special case: their
-    identical rows of B add up in S.
-
-    p and q are first rescaled to equal norms (p k, q / k, which leaves w
-    unchanged), so S does not cancel catastrophically.
-    """
-    n = len(p)
-    k = math.sqrt(math.sqrt(float((q * q).sum()) / float((p * p).sum())))
-    p, q = p * k, q / k
-    delta = p * q.sum() + q * p.sum()
-    sorted_delta = np.sort(delta)
-    b1, b2 = p + q, p - q
-    weights = np.stack([b1 * b1, b1 * b2, b2 * b2])
-
-    def count(mu):
-        f11, f12, f22 = np.einsum("mn,kn->km", 1.0 / (delta - mu[:, None]), weights)
-        s11, s22 = 2.0 - f11, -2.0 - f22
-        det = s11 * s22 - f12 * f12
-        neg = (det < 0) + 2 * ((det > 0) & (s11 + s22 < 0))
-        below = np.searchsorted(sorted_delta, mu) + neg - 1
-        return below, np.isfinite(det) & (det != 0)
-
-    hi = float((delta - 2.0 * p * q).min()) * n / (n - 1)
-    if n > 2:
-        hi = min(hi, sorted_delta[2])
-    return _multisect(count, sorted_delta[0], hi)
-
-
-def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray,
-                      deg: np.ndarray) -> float | None:
+def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray) -> float | None:
     """lambda2 of the thresholded network w_ij = p_i q_j + q_i p_j on ``adj``, or None.
 
-    ``adj`` is the network's edge mask and ``deg`` its row counts. With
-    q = c p, w_ij = 2 u_i u_j for u = sqrt(p q), so a threshold on w keeps
-    the pairs with u_i u_j above a cut: a threshold graph (Chvatal & Hammer
-    1977). Ranked by decreasing u, each bank's neighbours are then the top
-    ``deg`` banks other than itself. Both facts are checked, on ``adj``
+    ``adj`` is the network's edge mask. With q = c p, w_ij = 2 u_i u_j for
+    u = sqrt(p q), so a threshold on w keeps the pairs with u_i u_j above a
+    cut: a threshold graph (Chvatal & Hammer 1977), and a complete network
+    is one with no pair below the cut. Ranked by decreasing u, each bank's
+    neighbours are then the top ``deg`` banks other than itself, ``deg``
+    being its row count in ``adj``. Both facts are checked, on ``adj``
     itself since rounding near the threshold could break the nesting, and
     None is returned if either fails or no edge is left; the caller then
     takes the dense path.
@@ -337,6 +293,7 @@ def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray,
         return None
     u = np.sqrt(p * q)
     n = len(u)
+    deg = adj.sum(axis=1)
     order = np.argsort(-u, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)

@@ -25,7 +25,6 @@ from .graph import (
     SpectrumResult,
     TopologyReport,
     build_network,
-    factor_lambda2,
     laplacian_spectrum,
     threshold_lambda2,
     topology_report,
@@ -209,20 +208,15 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep their IPF factors, lambda2 comes from an
-    eigenvalue count in O(n) per trial value: ``factor_lambda2`` if the
-    threshold left the network complete, else ``threshold_lambda2``. Every
-    other network, and one that ``threshold_lambda2`` declines, gets
-    ``laplacian_spectrum``.
+    When the exposures keep their IPF factors, lambda2 comes from the
+    eigenvalue count of ``threshold_lambda2``, in O(n) per trial value,
+    whether or not the threshold removed edges. Every other network, and one
+    that ``threshold_lambda2`` declines, gets ``laplacian_spectrum``.
     """
     exposures = reconstruct_exposures(assets, method)
     net = build_network(exposures, method.min_edge_threshold)
     if exposures.factors is not None:
-        adj = net.W > 0
-        deg = adj.sum(axis=1)
-        if deg.min() == net.n - 1:
-            return factor_lambda2(*exposures.factors)
-        lam = threshold_lambda2(*exposures.factors, adj, deg)
+        lam = threshold_lambda2(*exposures.factors, net.W > 0)
         if lam is not None:
             return lam
     return laplacian_spectrum(net).lambda2

@@ -197,23 +197,38 @@ class ExposureMatrix:
 def exposure_from_csv_text(text: str) -> ExposureMatrix:
     """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`.
 
-    Each row is labelled with the header's bank id at its position; an
-    empty text, a repeated id or a row out of that order raises MalformedRow.
+    Each row is labelled with the header's bank id at its position and has
+    the header's number of cells, all numbers after the label; an empty
+    text, a repeated id, a row out of that order, a ragged row, a cell that
+    is not a number, and an extra or missing row raise MalformedRow.
     Marginal targets are taken as the realized row/column sums.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise MalformedRow("empty exposure CSV: no header row")
     ids = tuple(rows[0][1:])
-    if len(set(ids)) < len(ids):
+    n = len(ids)
+    if len(set(ids)) < n:
         twice = next(b for b in ids if ids.count(b) > 1)
         raise MalformedRow(f"header: bank id {twice!r} appears more than once")
-    for row_no, (row, bank) in enumerate(zip(rows[1:], ids), start=2):
+    if len(rows) > n + 1:
+        raise MalformedRow(f"row {n + 2}: extra row, the header names {n} banks")
+    X = np.empty((len(rows) - 1, n))
+    for i, (row, bank) in enumerate(zip(rows[1:], ids)):
         label = row[0] if row else ""
         if label != bank:
-            raise MalformedRow(f"row {row_no}: label {label!r} is not the header's "
+            raise MalformedRow(f"row {i + 2}: label {label!r} is not the header's "
                                f"bank id {bank!r} at that position")
-    X = np.array([[float(v) for v in row[1:]] for row in rows[1:]], dtype=float)
+        if len(row) != n + 1:
+            raise MalformedRow(f"row {i + 2}: {len(row)} cells, the header has {n + 1}")
+        for j, cell in enumerate(row[1:]):
+            try:
+                X[i, j] = float(cell)
+            except ValueError:
+                raise MalformedRow(f"row {i + 2}: cell {cell!r} is not a number") from None
+    if len(rows) <= n:
+        raise MalformedRow(f"row {len(rows) + 1}: missing, no row for bank id "
+                           f"{ids[len(rows) - 1]!r}")
     return ExposureMatrix(bank_ids=ids, X=X, row_targets=X.sum(axis=1),
                           col_targets=X.sum(axis=0), method="loaded")
 

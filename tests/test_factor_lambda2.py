@@ -1,11 +1,11 @@
 """lambda2 of max-entropy networks from their IPF factors.
 
-``network_lambda2`` counts eigenvalues with ``factor_lambda2`` when the
-exposures keep their factors and the threshold leaves the network complete,
-with ``threshold_lambda2`` when the threshold removed edges, and runs
-``laplacian_spectrum`` otherwise. Dense ``eigvalsh`` of the network's
-Laplacian (of its largest component) is the oracle; eigensolver counters
-guard which path a run takes.
+``network_lambda2`` counts eigenvalues with ``threshold_lambda2`` when the
+exposures keep their factors, whether the threshold left the network
+complete or removed edges, and runs ``laplacian_spectrum`` otherwise or when
+the count declines. Dense ``eigvalsh`` of the network's Laplacian (of its
+largest component) is the oracle; eigensolver counters guard which path a
+run takes.
 """
 
 import json
@@ -20,13 +20,12 @@ from contagion_lab import pipeline
 from contagion_lab.graph import (
     WeightedNetwork,
     build_network,
-    factor_lambda2,
     laplacian_spectrum,
     threshold_lambda2,
 )
 from contagion_lab.ingest import BankPanel
 from contagion_lab.pipeline import RunConfig, network_lambda2, sweep_ratios, synth_panel
-from contagion_lab.reconstruct import ReconstructionConfig, reconstruct_exposures
+from contagion_lab.reconstruct import ReconstructionConfig, max_entropy, reconstruct_exposures
 from contagion_lab.stats import _replicate_rng, bootstrap_lambda2, leave_one_out_lambda2
 
 COMPLETE = ReconstructionConfig(min_edge_threshold=0.0)
@@ -61,6 +60,26 @@ def maxent_network(assets, method=COMPLETE):
     return exposures, build_network(exposures, method.min_edge_threshold)
 
 
+def count_lambda2(exposures, net):
+    """``threshold_lambda2`` on the factors and edge mask of ``net``."""
+    return threshold_lambda2(*exposures.factors, net.W > 0)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Counter on ``np.linalg.eigvalsh``: a silent fallback to the dense path
+    would pass every correctness test and lose the gain."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 class TestAgainstDenseEigvalsh:
     @given(asset_vectors())
     @settings(max_examples=200, deadline=None)
@@ -70,6 +89,7 @@ class TestAgainstDenseEigvalsh:
             assert exposures.factors is not None
             assert np.count_nonzero(net.W) == net.n * (net.n - 1)
             got = network_lambda2(assets, COMPLETE)
+            assert count_lambda2(exposures, net) == got
         want = np.linalg.eigvalsh(net.laplacian())[1]
         assert abs(got - want) <= 1e-12 * want
 
@@ -78,33 +98,21 @@ class TestAgainstDenseEigvalsh:
             exposures, net = maxent_network(np.full(n, 7.0))
             w = net.W[0, 1]
             assert np.all(net.W[~np.eye(n, dtype=bool)] == w)
-            assert factor_lambda2(*exposures.factors) == pytest.approx(n * w, rel=1e-14)
+            assert count_lambda2(exposures, net) == pytest.approx(n * w, rel=1e-14)
 
     def test_two_banks_closed_form(self):
-        # one edge of weight w = p_0 q_1 + p_1 q_0 = 1 + 6: lambda2 = 2 w
-        assert factor_lambda2(np.array([1.0, 2.0]), np.array([3.0, 1.0])) == \
-            pytest.approx(14.0, rel=1e-15)
+        # q = 3 p: one edge of weight w = p_0 q_1 + p_1 q_0 = 6 + 6, lambda2 = 2 w
+        p = np.array([1.0, 2.0])
+        assert threshold_lambda2(p, 3.0 * p, ~np.eye(2, dtype=bool)) == \
+            pytest.approx(24.0, rel=1e-15)
 
     def test_lowest_degree_bank_repeated_is_the_lower_bound(self):
         # banks 0 and 1 are identical and the smallest: e_0 - e_1 is an
         # eigenvector, and lambda2 is exactly their diagonal entry
         assets = np.array([1.0, 1.0, 3.0, 4.0, 5.0, 6.0])
         exposures, net = maxent_network(assets)
-        p, q = exposures.factors
         want = np.linalg.eigvalsh(net.laplacian())[1]
-        assert factor_lambda2(p, q) == pytest.approx(want, rel=1e-13)
-
-    @pytest.mark.parametrize("p, q", [([1.0, 2.0, 2.0, 3.0], [3.0, 2.0, 3.0, 1.0]),
-                                      ([1.0, 2.0, 3.0, 6.0], [3.0, 2.0, 1.0, 3.0])])
-    def test_trial_value_on_a_diagonal_entry_is_skipped(self, p, q):
-        # a trial value of the first step equals one delta_i exactly; counted
-        # there, S(mu) is not finite and the bracket moved 2.5% off lambda2
-        p, q = np.array(p), np.array(q)
-        W = np.outer(p, q)
-        np.fill_diagonal(W, 0.0)
-        W = W + W.T
-        want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
-        assert factor_lambda2(p, q) == pytest.approx(want, rel=1e-13)
+        assert count_lambda2(exposures, net) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n", [70, 300])
     def test_paper_scale_lognormal(self, n):
@@ -112,7 +120,9 @@ class TestAgainstDenseEigvalsh:
             assets = np.random.default_rng(seed).lognormal(11.0, 1.0, n)
             exposures, net = maxent_network(assets)
             want = np.linalg.eigvalsh(net.laplacian())[1]
-            assert abs(factor_lambda2(*exposures.factors) - want) <= 1e-12 * want
+            got = network_lambda2(assets, COMPLETE)
+            assert got == count_lambda2(exposures, net)
+            assert abs(got - want) <= 1e-12 * want
 
 
 def threshold_between(net, quantile):
@@ -166,7 +176,7 @@ class TestThresholdedAgainstDenseEigvalsh:
         if where == "isolating":
             assert deg.min() == 0
         with np.errstate(all="raise"):
-            got = threshold_lambda2(*exposures.factors, adj, deg)
+            got = threshold_lambda2(*exposures.factors, adj)
         assert got is not None
         want = largest_component_lambda2(net)
         assert abs(got - want) <= 1e-12 * want
@@ -178,8 +188,7 @@ class TestThresholdedAgainstDenseEigvalsh:
         for seed in range(2):
             assets = np.random.default_rng(seed).lognormal(11.0, 1.0, n)
             exposures, net = maxent_network(assets, method)
-            adj = net.W > 0
-            got = threshold_lambda2(*exposures.factors, adj, adj.sum(axis=1))
+            got = count_lambda2(exposures, net)
             want = largest_component_lambda2(net)
             assert abs(got - want) <= 1e-12 * want
 
@@ -192,8 +201,7 @@ class TestThresholdedAgainstDenseEigvalsh:
             np.fill_diagonal(W, 0.0)
             W[W <= cut] = 0.0
             net = WeightedNetwork(tuple("abcde"[:len(u)]), 2.0 * W)
-            adj = net.W > 0
-            got = threshold_lambda2(u, u, adj, adj.sum(axis=1))
+            got = threshold_lambda2(u, u, net.W > 0)
             want = largest_component_lambda2(net)
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -210,42 +218,36 @@ class TestThresholdedAgainstDenseEigvalsh:
         assert adj.sum(axis=1).tolist() == [4, 3, 2, 2, 1]
         assert 2.0 * u[3] * (u[0] + u[1]) == 160.0 * (23 / 25)
         want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
-        assert threshold_lambda2(u, u, adj, adj.sum(axis=1)) == pytest.approx(want, rel=1e-13)
+        assert threshold_lambda2(u, u, adj) == pytest.approx(want, rel=1e-13)
 
-    def test_declines_what_it_cannot_count(self):
+    def test_declines_what_it_cannot_count(self, monkeypatch, eigvalsh_calls):
         u = np.array([4.0, 3.0, 2.0, 1.0])
         W = 2.0 * np.outer(u, u)
         np.fill_diagonal(W, 0.0)
         W[W <= 9.0] = 0.0          # keeps 0-1, 0-2 and 1-2
         adj = W > 0
-        deg = adj.sum(axis=1)
-        assert threshold_lambda2(u, u, adj, deg) is not None
+        assert threshold_lambda2(u, u, adj) is not None
         # q not proportional to p
-        assert threshold_lambda2(u, u * [1.0, 1.0, 1.0, 1.0 + 1e-6], adj, deg) is None
+        assert threshold_lambda2(u, u * [1.0, 1.0, 1.0, 1.0 + 1e-6], adj) is None
         # bank 3 joined to bank 2 but not to bank 0, which outranks bank 2
         nested_not = adj.copy()
         nested_not[2, 3] = nested_not[3, 2] = True
-        assert threshold_lambda2(u, u, nested_not, nested_not.sum(axis=1)) is None
+        assert threshold_lambda2(u, u, nested_not) is None
         # no edge left
-        none = np.zeros_like(adj)
-        assert threshold_lambda2(u, u, none, none.sum(axis=1)) is None
+        assert threshold_lambda2(u, u, np.zeros_like(adj)) is None
+        # a complete network whose factors are not proportional (A != L)
+        exposures = max_entropy([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
+        net = build_network(exposures)
+        assert np.count_nonzero(net.W) == 4 * 3
+        assert count_lambda2(exposures, net) is None
+        monkeypatch.setattr(pipeline, "reconstruct_exposures", lambda assets, method: exposures)
+        got = network_lambda2(u, COMPLETE)
+        assert eigvalsh_calls == [4]
+        assert got == laplacian_spectrum(net).lambda2
 
 
 class TestWhichPath:
-    """Counters on ``np.linalg.eigvalsh``: a silent fallback to the dense path
-    would pass every correctness test and lose the gain."""
-
-    @pytest.fixture
-    def eigvalsh_calls(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(len(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        return calls
+    """Counters on eigensolver calls and ``components()``."""
 
     def test_complete_networks_make_no_eigvalsh_call(self, eigvalsh_calls):
         assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
@@ -301,8 +303,7 @@ class TestWhichPath:
         assert W[a, b] == 0.0
         W[a, b] = W[b, a] = net.W[a, b]
         edited = WeightedNetwork(thresholded.bank_ids, W)
-        adj = W > 0
-        assert threshold_lambda2(*exposures.factors, adj, adj.sum(axis=1)) is None
+        assert threshold_lambda2(*exposures.factors, W > 0) is None
         monkeypatch.setattr(pipeline, "build_network", lambda exposures, epsilon: edited)
         got = network_lambda2(assets, method)
         assert len(eigvalsh_calls) == (1 if len(edited.components()) == 1 else 2)
@@ -324,9 +325,6 @@ class TestScaling:
         base = laplacian_spectrum(net).lambda2
         scaled = laplacian_spectrum(WeightedNetwork(net.bank_ids, c * net.W)).lambda2
         assert scaled == pytest.approx(c * base, rel=1e-11)
-        rng = np.random.default_rng(seed)
-        p, q = rng.lognormal(0.0, 1.0, n), rng.lognormal(0.0, 1.0, n)
-        assert factor_lambda2(c * p, q) == pytest.approx(c * factor_lambda2(p, q), rel=1e-12)
 
     @given(st.integers(0, 10_000), st.integers(4, 40), st.floats(1e-3, 1e3),
            st.booleans())

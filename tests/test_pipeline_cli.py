@@ -423,7 +423,16 @@ class TestCliCommands:
         ("bank_id,A,B,C,A\nA,0,1,1,1\nB,1,0,1,1\nC,1,1,0,1\nA,1,1,1,0\n",
          "header: bank id 'A' appears more than once"),
         ("", "empty exposure CSV: no header row"),
-    ], ids=["rows-not-in-header-order", "repeated-bank-id", "empty-file"])
+        ("bank_id,A,B,C\nA,0,1,1\nB,1,0\nC,1,1,0\n",
+         "row 3: 3 cells, the header has 4"),
+        ("bank_id,A,B,C\nA,0,1,1\nB,1,0,x\nC,1,1,0\n",
+         "row 3: cell 'x' is not a number"),
+        ("bank_id,A,B,C\nA,0,1,1\nB,1,0,1\nC,1,1,0\nD,1,1,1\n",
+         "row 5: extra row, the header names 3 banks"),
+        ("bank_id,A,B,C\nA,0,1,1\nB,1,0,1\n",
+         "row 4: missing, no row for bank id 'C'"),
+    ], ids=["rows-not-in-header-order", "repeated-bank-id", "empty-file", "ragged-row",
+            "non-numeric-cell", "extra-row", "missing-row"])
     def test_placebo_rejects_malformed_exposure_csv(self, tmp_path, text, message):
         path = tmp_path / "exposures.csv"
         path.write_text(text)
@@ -702,6 +711,21 @@ def test_cli_import_loads_neither_scipy_stats_nor_networkx():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+
+
+def test_fit_runs_without_scipy(tmp_path):
+    # the normal CDF of the lognormal fit comes from math.erfc
+    values = tmp_path / "values.csv"
+    sample = np.random.default_rng(7).lognormal(2.0, 0.7, 200)
+    values.write_text("value\n" + "\n".join(repr(float(v)) for v in sample) + "\n")
+    code = ("import sys\nfrom contagion_lab import cli\n"
+            f"assert cli.main(['fit', '--input', {str(values)!r}, "
+            f"'--output-dir', {str(tmp_path)!r}, '--scan-xmin']) == 0\n"
+            f"print({SCIPY_OR_NETWORKX})")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "fit.json").read_text())["results"]["n_tail"] >= 10
 
 
 def test_bootstrap_and_sweep_run_without_scipy(tmp_path):

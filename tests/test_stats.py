@@ -19,6 +19,7 @@ from contagion_lab.ingest import TreatmentAssignment
 from contagion_lab.pipeline import network_spectrum, to_json
 from contagion_lab.reconstruct import FixedRatio, ReconstructionConfig
 from contagion_lab.stats import (
+    _norm_cdf,
     bootstrap_lambda2,
     did_regress,
     fit_distributions,
@@ -237,10 +238,20 @@ class TestFitDistributions:
         fit = fit_distributions(np.concatenate([body, tail]), scan_xmin=True)
         assert fit.x_min > 1.0  # the scan moved past the lognormal body
 
+    def test_normal_cdf_matches_scipy_ndtr(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        x = np.concatenate([np.random.default_rng(26).standard_normal(200_000),
+                            np.linspace(-37.0, 37.0, 7401), [0.0]])
+        got = _norm_cdf(x)
+        want = ndtr(x)
+        assert np.all(want > 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert _norm_cdf(-37.0) == pytest.approx(ndtr(-37.0), rel=1e-13)
 
     @pytest.mark.parametrize("scan_xmin", [False, True])
-    def test_lognormal_terms_bit_identical_to_scipy_stats(self, scan_xmin):
-        # the fit calls scipy.special.ndtr; scipy.stats.norm is the reference
+    def test_lognormal_terms_match_scipy_stats(self, scan_xmin):
+        # the fit takes its normal CDF from math.erfc; scipy.stats.norm is the
+        # reference, to 1e-13 relative (the two round differently by a few ulps)
         norm = pytest.importorskip("scipy.stats").norm
         rng = np.random.default_rng(25)
         body = rng.lognormal(0.5, 0.5, 300)
@@ -262,10 +273,10 @@ class TestFitDistributions:
         ks_ln = float(max(np.abs(np.arange(1, m + 1) / m - cdf_ln).max(),
                           np.abs(np.arange(0, m) / m - cdf_ln).max()))
 
-        assert fit.lr_pl_vs_ln == float(diffs.sum())
-        assert fit.vuong_stat == vuong
-        assert fit.p_value == float(2.0 * norm.sf(abs(vuong)))
-        assert fit.ks_lognormal == ks_ln
+        assert fit.lr_pl_vs_ln == pytest.approx(float(diffs.sum()), rel=1e-13)
+        assert fit.vuong_stat == pytest.approx(vuong, rel=1e-13)
+        assert fit.p_value == pytest.approx(float(2.0 * norm.sf(abs(vuong))), rel=1e-13)
+        assert fit.ks_lognormal == pytest.approx(ks_ln, rel=1e-13)
         cdf_pl = 1.0 - (t / x_min) ** (1.0 - alpha)
         assert fit.ks_stat == float(max(np.abs(np.arange(1, m + 1) / m - cdf_pl).max(),
                                         np.abs(np.arange(0, m) / m - cdf_pl).max()))

@@ -225,16 +225,27 @@ def cmd_did(args) -> int:
     return EXIT_OK
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_fit(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
     values: list[float] = []
     with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames and args.column in reader.fieldnames:
+        header = reader.fieldnames or []
+        if args.column in header:
             for row in reader:
                 values.append(float(row[args.column]))
-        else:
+        elif header and not _is_number(header[0]):
+            raise MissingColumn(f"column {args.column!r} not found in the header")
+        else:  # no header: one number per line
             fh.seek(0)
             for line in fh:
                 line = line.strip()
@@ -243,7 +254,7 @@ def cmd_fit(args) -> int:
                 try:
                     values.append(float(line))
                 except ValueError:
-                    continue  # header or stray text
+                    continue  # stray text
     result = fit_distributions(values, x_min=args.x_min, scan_xmin=args.scan_xmin)
     label = {"lognormal": "Lognormal", "power_law": "Power law",
              "inconclusive": "Inconclusive"}[result.best_fit]

@@ -8,14 +8,14 @@ connected component, and comes from one of two paths:
   component and one on the block of the other nodes, which gives the
   whole spectrum. Every network can take it.
 * ``threshold_lambda2``: lambda2 alone of a network whose weights have the
-  product form w_ij = p_i q_j + q_i p_j (max-entropy IPF factors) with
-  q = c p, complete or thresholded: a threshold graph with nested
-  neighbourhoods, counted in O(n) per trial value by an elimination that
-  creates no fill.
+  product form w_ij = 2 u_i u_j (max-entropy factors with p == q, as equal
+  row and column targets give), complete or thresholded: a threshold graph
+  with nested neighbourhoods, counted in O(n) per trial value by an
+  elimination that creates no fill.
 
-``pipeline.network_lambda2`` picks the path: the count needs the IPF
-factors, and ``threshold_lambda2`` declines a network it cannot count,
-which then takes the dense path.
+``pipeline.network_lambda2`` picks the path: the count needs the
+max-entropy factors, and ``threshold_lambda2`` declines a network it cannot
+count, which then takes the dense path.
 """
 
 from __future__ import annotations
@@ -224,12 +224,6 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
 #: Fractions of the bracket probed by each multisection step of ``_multisect``.
 _GRID = np.arange(1, 25) / 25
 
-#: ``threshold_lambda2`` needs q / p constant to this relative spread. The
-#: weights 2 u_i u_j, u = sqrt(p q), then differ from p_i q_j + q_i p_j by at
-#: most PROPORTIONAL_RTOL**2 / 8 relative, and so does every Laplacian eigenvalue.
-PROPORTIONAL_RTOL = 1e-7
-
-
 def _multisect(count, lo: float, hi: float) -> float:
     """lambda2 in the bracket [lo, hi] from an eigenvalue count.
 
@@ -259,15 +253,16 @@ def _multisect(count, lo: float, hi: float) -> float:
 def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray) -> float | None:
     """lambda2 of the thresholded network w_ij = p_i q_j + q_i p_j on ``adj``, or None.
 
-    ``adj`` is the network's edge mask. With q = c p, w_ij = 2 u_i u_j for
-    u = sqrt(p q), so a threshold on w keeps the pairs with u_i u_j above a
-    cut: a threshold graph (Chvatal & Hammer 1977), and a complete network
-    is one with no pair below the cut. Ranked by decreasing u, each bank's
-    neighbours are then the top ``deg`` banks other than itself, ``deg``
-    being its row count in ``adj``. Both facts are checked, on ``adj``
-    itself since rounding near the threshold could break the nesting, and
-    None is returned if either fails or no edge is left; the caller then
-    takes the dense path.
+    ``adj`` is the network's edge mask. The count needs p == q, which
+    max-entropy factors of equal row and column targets are, bit for bit.
+    With u = p, the weights fl(u_i u_j) + fl(u_j u_i) that ``build_network``
+    sums are exactly 2 fl(u_i u_j), so a threshold on w keeps the pairs with
+    u_i u_j above a cut: a threshold graph (Chvatal & Hammer 1977), and a
+    complete network is one with no pair below the cut. Ranked by
+    decreasing u, each bank's neighbours are then the top ``deg`` banks
+    other than itself, ``deg`` being its row count in ``adj``. The nesting
+    is checked on ``adj`` itself, and None is returned if p != q, the
+    nesting fails or no edge is left; the caller then takes the dense path.
 
     Nested neighbourhoods leave no fill when banks are eliminated in
     increasing-u order. The banks with edges form the largest component: a
@@ -288,10 +283,9 @@ def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray) -> float | 
     (Fiedler's bound on the m banks with edges). A trial value on a pivot,
     or one that makes a segment singular, is skipped.
     """
-    ratio = q / p
-    if ratio.max() - ratio.min() > PROPORTIONAL_RTOL * ratio.min():
+    if not np.array_equal(p, q):
         return None
-    u = np.sqrt(p * q)
+    u = p
     n = len(u)
     deg = adj.sum(axis=1)
     order = np.argsort(-u, kind="stable")

@@ -208,10 +208,11 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep their IPF factors, lambda2 comes from the
-    eigenvalue count of ``threshold_lambda2``, in O(n) per trial value,
+    When the exposures keep their max-entropy factors, lambda2 comes from
+    the eigenvalue count of ``threshold_lambda2``, in O(n) per trial value,
     whether or not the threshold removed edges. Every other network, and one
-    that ``threshold_lambda2`` declines, gets ``laplacian_spectrum``.
+    that ``threshold_lambda2`` declines (unequal factors), gets
+    ``laplacian_spectrum``.
     """
     exposures = reconstruct_exposures(assets, method)
     net = build_network(exposures, method.min_edge_threshold)
@@ -290,6 +291,18 @@ def cross_year_summary(reports: Sequence[YearReport]) -> dict:
     return summary
 
 
+def map_in_order(fn, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when that is more than one.
+
+    The results keep the order of ``items``, so they do not depend on
+    ``workers``.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def requested_years(panel: BankPanel, cfg: RunConfig) -> list[int]:
     """``cfg.years``, or every panel year when none is configured.
 
@@ -313,10 +326,7 @@ def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
         except ContagionLabError as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(one, years))
-    return [one(y) for y in years]
+    return map_in_order(one, years, cfg.workers)
 
 
 def analyze_results(reports: Sequence[YearReport]) -> dict:
@@ -349,11 +359,7 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
         return network_lambda2(assets, method)
 
     jobs = [(year, rho) for year in years for rho in rhos]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            flat = list(pool.map(one, jobs))
-    else:
-        flat = [one(j) for j in jobs]
+    flat = map_in_order(one, jobs, cfg.workers)
     grid = {year: {} for year in years}
     for (year, rho), lam in zip(jobs, flat):
         grid[year][rho] = lam

@@ -2,8 +2,8 @@
 
 Four schemes are provided:
 
-* maximum entropy with zero-diagonal correction via iterative
-  proportional fitting (RAS), the baseline;
+* maximum entropy with zero-diagonal correction, the baseline, whose
+  factors solve one scalar equation;
 * kernel-density weighting (non-parametric, preserves only the total);
 * a fitness model with scores proportional to assets^alpha;
 * a sparse greedy transport heuristic minimizing edge count.
@@ -32,7 +32,6 @@ from .errors import (
 
 MARGINAL_RTOL = 1e-9      # |row sum - target| <= MARGINAL_RTOL * max(target)
 IPF_RTOL = 1e-12
-IPF_MAX_SWEEPS = 10_000
 
 #: Baseline interbank ratio and sensitivity sweep bounds.
 DEFAULT_RHO = 0.05
@@ -141,7 +140,9 @@ class ExposureMatrix:
     ``marginals_fitted`` is False for methods that intentionally do not
     reproduce the per-bank targets (KDE weighting).
     ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal,
-    when ``X`` was built from them (max-entropy IPF); otherwise None.
+    when ``X`` was built from them (max-entropy off the feasibility
+    boundary; p == q when the row and column targets are equal); otherwise
+    None.
     """
 
     bank_ids: tuple[str, ...]
@@ -197,17 +198,21 @@ class ExposureMatrix:
 def exposure_from_csv_text(text: str) -> ExposureMatrix:
     """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`.
 
-    Each row is labelled with the header's bank id at its position and has
-    the header's number of cells, all numbers after the label; an empty
-    text, a repeated id, a row out of that order, a ragged row, a cell that
-    is not a number, and an extra or missing row raise MalformedRow.
-    Marginal targets are taken as the realized row/column sums.
+    Blank lines are skipped, as the panel reader skips them, and rows are
+    numbered without them. Each row is labelled with the header's bank id at
+    its position and has the header's number of cells, all numbers after the
+    label; an empty text, a header with no bank id, a repeated id, a row out
+    of that order, a ragged row, a cell that is not a number, and an extra or
+    missing row raise MalformedRow. Marginal targets are taken as the
+    realized row/column sums.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise MalformedRow("empty exposure CSV: no header row")
     ids = tuple(rows[0][1:])
     n = len(ids)
+    if n == 0:
+        raise MalformedRow("header: no bank id after the first cell")
     if len(set(ids)) < n:
         twice = next(b for b in ids if ids.count(b) > 1)
         raise MalformedRow(f"header: bank id {twice!r} appears more than once")
@@ -215,7 +220,7 @@ def exposure_from_csv_text(text: str) -> ExposureMatrix:
         raise MalformedRow(f"row {n + 2}: extra row, the header names {n} banks")
     X = np.empty((len(rows) - 1, n))
     for i, (row, bank) in enumerate(zip(rows[1:], ids)):
-        label = row[0] if row else ""
+        label = row[0]
         if label != bank:
             raise MalformedRow(f"row {i + 2}: label {label!r} is not the header's "
                                f"bank id {bank!r} at that position")
@@ -258,47 +263,88 @@ def interbank_aggregates(assets: Sequence[float] | np.ndarray,
     return A, A.copy()
 
 
-def _ipf(row_targets: np.ndarray, col_targets: np.ndarray,
-         rtol: float = IPF_RTOL, max_sweeps: int = IPF_MAX_SWEEPS
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """RAS scaling of the prior A_i L_j / sum(A) with a zero diagonal, on its factors.
+def _max_entropy_factors(A: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (p, q) of x_ij = p_i q_j (i != j) with row sums A and column sums L.
 
-    The iterates keep the product form x_ij = p_i q_j (i != j), so row i
-    sums to p_i (sum(q) - q_i) and column j to q_j (sum(p) - p_j): each
-    sweep rescales the two vectors in O(n). The first row step reads only
-    q, which starts as L. Returns (p, q).
+    Row i sums to p_i (sum q - q_i) and column j to q_j (sum p - p_j). Scaled
+    so that sum p = sum q = S, the pair has S (p_i - q_i) = A_i - L_i, so in
+    t = S^2 each x_i = S p_i is a root of
+
+        x^2 - (t + d_i) x + A_i t = 0,    d = A - L,
+
+    and y_i = S q_i of the same quadratic in -d_i and L_i. Both share the
+    discriminant (t - reach_i^2)(t - gap_i^2), reach and gap being
+    sqrt A_i +- sqrt L_i, which is non-negative from t0 = max reach^2 up.
+    Every bank takes the small root, but the bank binding at t0 takes the
+    large one when the small roots at t0 sum to less than t0 (a bank near
+    half the total). The fitness equations (Squartini & Garlaschelli 2011)
+    are then one scalar equation, sum x(t) = t, solved by Newton steps kept
+    inside a bracket that shrinks each step, from max(sum A, t0). A = L
+    gives p == q bit for bit. Returns (p, q).
     """
-    scale = max(float(row_targets.max(initial=0.0)), float(col_targets.max(initial=0.0)))
-    if scale <= 0:
-        raise ZeroTotal("all marginal targets are zero")
-    q = col_targets
-    for _ in range(max_sweeps):
-        p = row_targets / (q.sum() - q)
-        q = col_targets / (p.sum() - p)
-        row_err = np.abs(p * (q.sum() - q) - row_targets).max()
-        col_err = np.abs(q * (p.sum() - p) - col_targets).max()
-        err = max(row_err, col_err)
-        if err <= rtol * scale:
-            return p, q
-    # final check against the looser marginal tolerance before giving up
-    if err <= MARGINAL_RTOL * scale:
-        return p, q
-    raise InfeasibleMarginals(
-        f"IPF did not converge in {max_sweeps} sweeps "
-        f"(residual {err:.3e}); a marginal may exceed "
-        "half the total, which no zero-diagonal matrix can satisfy"
-    )
+    # reach^2 and gap^2; for A = L they are exactly 4A and 0, so t - reach^2
+    # loses nothing near t0, where the binding bank's x is steep in t
+    both, cross = A + L, 2.0 * np.sqrt(A * L)
+    reach2, gap2 = both + cross, both - cross
+    k = int(np.argmax(reach2))
+    t0, total = float(reach2[k]), float(A.sum())
+    d = A - L
+
+    def small_roots(a: np.ndarray, shift: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Small roots of x^2 - (t + shift) x + a t = 0, and the square roots
+        of their discriminants."""
+        root = np.sqrt((t - reach2) * (t - gap2))
+        return a * (2.0 * t) / (t + shift + root), root
+
+    # each small root is at least A_i, so with t0 <= sum A they sum to at least
+    # t at t = sum A, and the small-root equation has its root above there
+    large = t0 > total and small_roots(A, d, t0)[0].sum() < t0
+    lo, hi, t = t0, math.inf, max(total, t0)
+    # dx/dt is infinite at t0, where the binding bank's two roots meet
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            x, root = small_roots(A, d, t)
+            dx = (A - x) / root
+            if large:
+                # the large root is t + d_k - x_k; the t-sized terms of
+                # sum x - t cancel, so they are left out
+                x[k], dx[k] = -x[k], -dx[k]
+                h, slope = x.sum() + d[k], dx.sum()
+            else:
+                h, slope = x.sum() - t, dx.sum() - 1.0
+            if (h > 0) != large:  # the root lies above t
+                lo = t
+            else:
+                hi = t
+            step = t - h / slope
+            if math.isfinite(slope) and abs(step - t) <= 2.0 * np.finfo(float).eps * t:
+                break
+            if not lo < step < hi:  # bisect, or double while there is no upper end
+                step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * t
+                if not lo < step < hi:
+                    break
+            t = step
+    y = small_roots(L, -d, t)[0]
+    if large or dx[k] < -1.0:
+        # The binding bank's root moves faster than t, so the rounding of t
+        # would move it more than the rounding of a sum does: close
+        # sum x = sum y = t on it instead, which its nearly flat quadratic
+        # barely notices. The large root is taken this way too.
+        x[k] = y[k] = 0.0
+        x[k], y[k] = t - x.sum(), t - y.sum()
+    S = math.sqrt(t)
+    return x / S, y / S
 
 
 def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray,
                 bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
     """Entropy-maximizing exposures x_ij = A_i L_j / sum(A), diagonal corrected.
 
-    The closed form has a positive diagonal; we zero it and restore both
-    marginals by RAS to 1e-12 relative convergence. RAS keeps the product
-    form, so off the diagonal x_ij = p_i q_j, and the result carries
-    ``factors=(p, q)``; the forced solution on the feasibility boundary
-    carries none.
+    The closed form has a positive diagonal. Zeroing it and restoring both
+    marginals keeps the product form x_ij = p_i q_j off the diagonal, with
+    the factors from one scalar equation (``_max_entropy_factors``); the
+    result carries ``factors=(p, q)``, and p == q when A == L. The forced
+    solution on the feasibility boundary carries none.
     """
     A = np.asarray(A, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -317,8 +363,8 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
             "zero-diagonal matrix can satisfy these marginals"
         )
     # Feasibility boundary (A_i + L_i == total): the solution is forced --
-    # every other bank routes exclusively through bank i -- and IPF would
-    # only approach it at a 1/sweeps rate, so construct it directly.
+    # every other bank routes exclusively through bank i -- and its factors
+    # would be zero or infinite, so construct it directly.
     boundary = np.flatnonzero(A + L >= total * (1 - 1e-12))
     if len(boundary):
         i = int(boundary[0])
@@ -328,7 +374,7 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
         X[i, i] = 0.0
         factors = None
     else:
-        factors = _ipf(A, L)
+        factors = _max_entropy_factors(A, L)
         X = np.outer(*factors)
         np.fill_diagonal(X, 0.0)
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(A))

@@ -8,7 +8,6 @@ reruns and across worker counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .graph import laplacian_spectrum, WeightedNetwork
 from .ingest import TreatmentAssignment
-from .pipeline import network_lambda2
+from .pipeline import map_in_order, network_lambda2
 from .reconstruct import ReconstructionConfig
 
 
@@ -84,11 +83,7 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
         idx = rng.integers(0, n, size=n)
         return network_lambda2(assets[idx], cfg)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            replicates = np.array(list(pool.map(one, range(B))))
-    else:
-        replicates = np.array([one(b) for b in range(B)])
+    replicates = np.array(map_in_order(one, range(B), workers))
 
     alpha = (1.0 - level) / 2.0
     ci_low = float(np.quantile(replicates, alpha, method="lower"))

@@ -1,11 +1,11 @@
-"""lambda2 of max-entropy networks from their IPF factors.
+"""lambda2 of max-entropy networks from their factors.
 
 ``network_lambda2`` counts eigenvalues with ``threshold_lambda2`` when the
 exposures keep their factors, whether the threshold left the network
 complete or removed edges, and runs ``laplacian_spectrum`` otherwise or when
-the count declines. Dense ``eigvalsh`` of the network's Laplacian (of its
-largest component) is the oracle; eigensolver counters guard which path a
-run takes.
+the count declines, as it does for unequal factors (A != L). Dense
+``eigvalsh`` of the network's Laplacian (of its largest component) is the
+oracle; eigensolver counters guard which path a run takes.
 """
 
 import json
@@ -101,10 +101,10 @@ class TestAgainstDenseEigvalsh:
             assert count_lambda2(exposures, net) == pytest.approx(n * w, rel=1e-14)
 
     def test_two_banks_closed_form(self):
-        # q = 3 p: one edge of weight w = p_0 q_1 + p_1 q_0 = 6 + 6, lambda2 = 2 w
+        # one edge of weight w = p_0 p_1 + p_1 p_0 = 4, lambda2 = 2 w
         p = np.array([1.0, 2.0])
-        assert threshold_lambda2(p, 3.0 * p, ~np.eye(2, dtype=bool)) == \
-            pytest.approx(24.0, rel=1e-15)
+        assert threshold_lambda2(p, p, ~np.eye(2, dtype=bool)) == \
+            pytest.approx(8.0, rel=1e-15)
 
     def test_lowest_degree_bank_repeated_is_the_lower_bound(self):
         # banks 0 and 1 are identical and the smallest: e_0 - e_1 is an
@@ -227,15 +227,16 @@ class TestThresholdedAgainstDenseEigvalsh:
         W[W <= 9.0] = 0.0          # keeps 0-1, 0-2 and 1-2
         adj = W > 0
         assert threshold_lambda2(u, u, adj) is not None
-        # q not proportional to p
+        # q != p, also when proportional to it
         assert threshold_lambda2(u, u * [1.0, 1.0, 1.0, 1.0 + 1e-6], adj) is None
+        assert threshold_lambda2(u, 3.0 * u, adj) is None
         # bank 3 joined to bank 2 but not to bank 0, which outranks bank 2
         nested_not = adj.copy()
         nested_not[2, 3] = nested_not[3, 2] = True
         assert threshold_lambda2(u, u, nested_not) is None
         # no edge left
         assert threshold_lambda2(u, u, np.zeros_like(adj)) is None
-        # a complete network whose factors are not proportional (A != L)
+        # a complete network whose factors differ (A != L)
         exposures = max_entropy([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
         net = build_network(exposures)
         assert np.count_nonzero(net.W) == 4 * 3

@@ -319,6 +319,36 @@ class TestCliCommands:
         assert payload["results"]["best_fit"] == "lognormal"
         assert payload["results"]["p_value"] < 0.01
 
+    @pytest.mark.parametrize("header", ["value", "bank_id,value"])
+    def test_fit_column_missing_from_the_header_is_an_error(self, tmp_path, header):
+        rng = np.random.default_rng(42)
+        rows = [",".join(["b"] * header.count(",") + [repr(float(v))])
+                for v in rng.lognormal(2.0, 0.7, 300)]
+        path = tmp_path / "values.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        r = run_cli("fit", "--input", str(path), "--column", "absent",
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 4
+        assert r.stderr == "error: column 'absent' not found in the header\n"
+        assert not (tmp_path / "fit.json").exists()
+        r = run_cli("fit", "--input", str(path), "--output-dir", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+
+    def test_fit_reads_a_file_without_header(self, tmp_path):
+        values = np.random.default_rng(42).lognormal(2.0, 0.7, 300)
+        body = "\n".join(repr(float(v)) for v in values) + "\n"
+        results = []
+        for name, text, column in (("headerless", body, "absent"),
+                                   ("headed", "value\n" + body, "value")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            out = tmp_path / name
+            r = run_cli("fit", "--input", str(path), "--column", column,
+                        "--output-dir", str(out))
+            assert r.returncode == 0, r.stderr
+            results.append(json.loads((out / "fit.json").read_text())["results"])
+        assert results[0] == results[1]
+
     def test_did_two_by_two_through_cli(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(
@@ -431,8 +461,11 @@ class TestCliCommands:
          "row 5: extra row, the header names 3 banks"),
         ("bank_id,A,B,C\nA,0,1,1\nB,1,0,1\n",
          "row 4: missing, no row for bank id 'C'"),
+        ("bank_id\n", "header: no bank id after the first cell"),
+        ("\nbank_id\n\n", "header: no bank id after the first cell"),
     ], ids=["rows-not-in-header-order", "repeated-bank-id", "empty-file", "ragged-row",
-            "non-numeric-cell", "extra-row", "missing-row"])
+            "non-numeric-cell", "extra-row", "missing-row", "header-without-banks",
+            "header-without-banks-between-blank-lines"])
     def test_placebo_rejects_malformed_exposure_csv(self, tmp_path, text, message):
         path = tmp_path / "exposures.csv"
         path.write_text(text)
@@ -440,6 +473,53 @@ class TestCliCommands:
                     "--output-dir", str(tmp_path / "out"))
         assert r.returncode == 4
         assert r.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["trailing", "inner", "leading"])
+    def test_placebo_skips_blank_lines_in_exposure_csv(self, tmp_path, where):
+        # blank lines are no rows, as in the panel reader
+        text = "bank_id,A,B,C\nA,0,1,2\nB,1,0,3\nC,2,3,0\n"
+        lines = text.splitlines(keepends=True)
+        blank = {"trailing": lines + ["\n", "\n"], "inner": lines[:2] + ["\n"] + lines[2:],
+                 "leading": ["\n"] + lines}[where]
+        results = []
+        for name, body in (("plain", text), (where, "".join(blank))):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(body)
+            out = tmp_path / name
+            r = run_cli("placebo", "--input", str(path), "--n-draws", "5", "--epsilon", "0",
+                        "--output-dir", str(out))
+            assert r.returncode == 0, r.stderr
+            results.append(json.loads((out / "placebo.json").read_text())["results"])
+        assert results[0] == results[1]
+
+    @staticmethod
+    def near_half_panel(tmp_path):
+        """70 banks, one holding 49.99% of the assets, so of the interbank
+        total: feasible, and past where RAS converges in reasonable time."""
+        others = np.random.default_rng(7).lognormal(11.0, 1.0, 69)
+        assets = np.array([others.sum() * 0.4999 / 0.5001, *others])
+        path = tmp_path / "panel.csv"
+        path.write_text("bank_id,year,total_assets\n" + "".join(
+            f"B{i:02d},2018,{float(v)!r}\n" for i, v in enumerate(assets)))
+        return path, assets
+
+    def test_analyze_with_a_bank_near_half_the_total(self, tmp_path):
+        path, _ = self.near_half_panel(tmp_path)
+        r = run_cli("analyze", "--input", str(path), "--output-dir", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "analyze.json").read_text())
+        assert payload["results"]["years"][0]["lambda2"] > 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a resample that puts the bank above half its total raises "
+                              "InfeasibleMarginals, and a failed replicate aborts bootstrap")
+    def test_bootstrap_with_a_bank_near_half_the_total(self, tmp_path):
+        path, assets = self.near_half_panel(tmp_path)
+        from contagion_lab.pipeline import network_lambda2
+        assert network_lambda2(assets, ReconstructionConfig()) > 0  # the point estimate
+        r = run_cli("bootstrap", "-B", "10", "--input", str(path),
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 0, r.stderr
 
     def test_bootstrap_command_table(self, tmp_path):
         panel = tmp_path / "panel.csv"

@@ -12,6 +12,7 @@ from contagion_lab.errors import (
 from contagion_lab.graph import build_network, laplacian_spectrum
 from contagion_lab.reconstruct import (
     IPF_RTOL,
+    MARGINAL_RTOL,
     ExposureMatrix,
     FixedRatio,
     LinearLogRatio,
@@ -184,10 +185,10 @@ class TestMaxEntropy:
         scale = max(A.max(), L.max())
         assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * scale
         assert np.abs(em.X.sum(axis=0) - L).max() <= 2 * IPF_RTOL * scale
-        # The two iterations are the same in exact arithmetic, but each stops
-        # at its own residual, so they may stop a sweep apart. Each is X* - E
-        # to first order, E its first_order_correction, hence |X_ipf - X_ras|
-        # is at most |E_ipf| + |E_ras| plus the rounding of sums of n terms.
+        # Both aim at the same X*, but RAS stops at its own residual, and the
+        # factor solve at its rounding. Each is X* - E to first order, E its
+        # first_order_correction, hence |X - X_ras| is at most |E| + |E_ras|
+        # plus the rounding of sums of n terms.
         ras = matrix_ras(A, L)
         bound = (np.abs(first_order_correction(em.X, A, L))
                  + np.abs(first_order_correction(ras, A, L))
@@ -208,17 +209,36 @@ class TestMaxEntropy:
         with pytest.raises(InfeasibleMarginals):
             max_entropy([10.0, 1.0, 1.0], [10.0, 1.0, 1.0])
 
-    @pytest.mark.xfail(strict=True, raises=InfeasibleMarginals,
-                       reason="RAS converges sublinearly near the feasibility boundary "
-                              "and gives up after IPF_MAX_SWEEPS")
+    @pytest.mark.parametrize("share, rtol", [(0.4999, 2 * IPF_RTOL),
+                                             (0.499999, MARGINAL_RTOL),
+                                             (0.4999999999, MARGINAL_RTOL)])
     @pytest.mark.parametrize("n", [3, 10, 70])
-    def test_feasible_marginals_near_the_boundary_are_met(self, n):
-        # one bank holds 49.99% of the total: feasible, since A_0 + L_0 < total
+    def test_feasible_marginals_near_the_boundary_are_met(self, n, share, rtol):
+        # one bank holds 49.99% (and more) of the total: feasible, since
+        # A_0 + L_0 < total; the bank takes the large root of its quadratic
         others = np.random.default_rng(n).lognormal(0.0, 1.0, n - 1)
-        A = np.concatenate([[others.sum() * 0.4999 / 0.5001], others])
+        A = np.concatenate([[others.sum() * share / (1.0 - share)], others])
         em = max_entropy(A, A.copy())
-        assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * A.max()
-        assert np.abs(em.X.sum(axis=0) - A).max() <= 2 * IPF_RTOL * A.max()
+        assert em.factors is not None
+        assert np.abs(em.X.sum(axis=1) - A).max() <= rtol * A.max()
+        assert np.abs(em.X.sum(axis=0) - A).max() <= rtol * A.max()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 80), st.floats(0.05, 2.0),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_targets_give_equal_factors_to_rounding(self, seed, n, sigma, reach):
+        # ``reach`` pushes bank 0 past a quarter of the total, where the
+        # quadratics' roots meet near t0, and toward half, into the large root
+        rng = np.random.default_rng(seed)
+        A = rng.lognormal(0.0, sigma, n)
+        A[0] += reach * A.sum()
+        assume(2 * A.max() < 0.98 * A.sum())
+        em = max_entropy(A, A.copy())
+        p, q = em.factors
+        assert np.array_equal(p, q)
+        bound = 4 * n * np.finfo(float).eps * A.max()
+        assert np.abs(em.X.sum(axis=1) - A).max() <= bound
+        assert np.abs(em.X.sum(axis=0) - A).max() <= bound
 
 
 def gaussian_kde_oracle(points, h):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import (EXIT_IO, EXIT_MODEL, EXIT_OK, ConfigError, ContagionLabError,
-                     MissingColumn)
+                     MalformedRow, MissingColumn)
 from .graph import build_network, eigenvalues_csv_text
 from .ingest import BankPanel, balanced_panel, load_panel
 from .pipeline import (
@@ -245,16 +245,16 @@ def cmd_fit(args) -> int:
                 values.append(float(row[args.column]))
         elif header and not _is_number(header[0]):
             raise MissingColumn(f"column {args.column!r} not found in the header")
-        else:  # no header: one number per line
+        else:  # no header: one number per line, blank lines skipped
             fh.seek(0)
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     values.append(float(line))
                 except ValueError:
-                    continue  # stray text
+                    raise MalformedRow(f"line {number}: {line!r} is not a number") from None
     result = fit_distributions(values, x_min=args.x_min, scan_xmin=args.scan_xmin)
     label = {"lognormal": "Lognormal", "power_law": "Power law",
              "inconclusive": "Inconclusive"}[result.best_fit]

@@ -7,15 +7,18 @@ connected component, and comes from one of two paths:
 * ``laplacian_spectrum``, the dense path: one ``eigvalsh`` on the largest
   component and one on the block of the other nodes, which gives the
   whole spectrum. Every network can take it.
-* ``threshold_lambda2``: lambda2 alone of a network whose weights have the
-  product form w_ij = 2 u_i u_j (max-entropy factors with p == q, as equal
-  row and column targets give), complete or thresholded: a threshold graph
-  with nested neighbourhoods, counted in O(n) per trial value by an
-  elimination that creates no fill.
+* ``threshold_lambda2``: lambda2 alone of a max-entropy network whose
+  factors are equal (p == q == u, as equal row and column targets give),
+  from ``u`` and the threshold alone, with no n x n array. Its weights
+  w_ij = 2 fl(u_i u_j) make it a threshold graph, complete or thresholded;
+  monotone rounding makes each bank's edges a prefix of the banks sorted
+  by u, so the degrees come from a bisection per bank and need no mask,
+  and an elimination that creates no fill counts eigenvalues in O(n) per
+  trial value.
 
-``pipeline.network_lambda2`` picks the path: the count needs the
-max-entropy factors, and ``threshold_lambda2`` declines a network it cannot
-count, which then takes the dense path.
+``pipeline.network_lambda2`` picks the path: the count needs equal
+max-entropy factors and at least one edge; every other network takes the
+dense path.
 """
 
 from __future__ import annotations
@@ -250,19 +253,41 @@ def _multisect(count, lo: float, hi: float) -> float:
     return float(0.5 * (lo + hi))
 
 
-def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray) -> float | None:
-    """lambda2 of the thresholded network w_ij = p_i q_j + q_i p_j on ``adj``, or None.
+def _ranked_degrees(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each bank's degree in the mask fl(u_i u_j) + fl(u_j u_i) > epsilon, i != j,
+    for ``u`` sorted decreasing.
 
-    ``adj`` is the network's edge mask. The count needs p == q, which
-    max-entropy factors of equal row and column targets are, bit for bit.
-    With u = p, the weights fl(u_i u_j) + fl(u_j u_i) that ``build_network``
-    sums are exactly 2 fl(u_i u_j), so a threshold on w keeps the pairs with
-    u_i u_j above a cut: a threshold graph (Chvatal & Hammer 1977), and a
-    complete network is one with no pair below the cut. Ranked by
-    decreasing u, each bank's neighbours are then the top ``deg`` banks
-    other than itself, ``deg`` being its row count in ``adj``. The nesting
-    is checked on ``adj`` itself, and None is returned if p != q, the
-    nesting fails or no edge is left; the caller then takes the dense path.
+    Each bank's edges are a prefix of the ranks (``threshold_lambda2`` says
+    why). Its length is built bit by bit, from the largest power of two
+    down: a step is kept when the last rank of the longer prefix still
+    passes, so each pass is O(n) and there are about log2(n) of them.
+    """
+    n = len(u)
+    length = np.zeros(n, dtype=np.intp)
+    for step in (1 << b for b in reversed(range(n.bit_length()))):
+        longer = length + step
+        v = u[np.minimum(longer, n) - 1]
+        length = np.where((longer <= n) & (u * v + v * u > epsilon), longer, length)
+    return length - (np.arange(n) < length)  # a bank inside its own prefix is no edge
+
+
+def threshold_lambda2(u: np.ndarray, epsilon: float) -> float | None:
+    """lambda2 of the max-entropy network with factors p == q == u, or None.
+
+    This is the network ``build_network`` makes of x_ij = u_i u_j with
+    threshold ``epsilon``, counted from ``u`` alone: no n x n array is
+    built. Its weights fl(u_i u_j) + fl(u_j u_i) are exactly 2 fl(u_i u_j),
+    so a threshold keeps the pairs with u_i u_j above a cut: a threshold
+    graph (Chvatal & Hammer 1977), and a complete network is one with no
+    pair below the cut. Rounding is monotone, so with u sorted decreasing
+    each bank's edge set {j : fl(u_i u_j) + fl(u_j u_i) > epsilon} is a
+    prefix of that order: the neighbourhoods are nested by construction. A
+    vectorized bisection over ranks finds every prefix length in about
+    log2(n) passes of O(n), each evaluating the very expression
+    ``build_network`` thresholds, so the degrees are those of its mask,
+    after subtracting each bank that falls inside its own prefix. None is
+    returned when no edge is left; the caller then takes the dense path,
+    which raises SingletonGraph.
 
     Nested neighbourhoods leave no fill when banks are eliminated in
     increasing-u order. The banks with edges form the largest component: a
@@ -283,22 +308,12 @@ def threshold_lambda2(p: np.ndarray, q: np.ndarray, adj: np.ndarray) -> float | 
     (Fiedler's bound on the m banks with edges). A trial value on a pivot,
     or one that makes a segment singular, is skipped.
     """
-    if not np.array_equal(p, q):
-        return None
-    u = p
-    n = len(u)
-    deg = adj.sum(axis=1)
-    order = np.argsort(-u, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    last = n - 1 - np.argmax(adj[:, order[::-1]], axis=1)  # largest neighbour rank
-    if np.any((deg > 0) & (last != deg - 1 + (rank < deg))):
-        return None
-    d = deg[order]
+    u = u[np.argsort(-u, kind="stable")]
+    d = _ranked_degrees(u, epsilon)
     m = int(np.count_nonzero(d))  # nesting puts the banks without edges last
     if m < 2:
         return None
-    u, d = u[order[:m]], d[:m]
+    u, d = u[:m], d[:m]
     prefix = np.concatenate([[0.0], np.cumsum(u)])  # prefix[t] = sum of the top t u
     k = int(np.count_nonzero(d > np.arange(m)))
     uc, ui, att = u[:k], u[k:], d[k:]

@@ -208,19 +208,19 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep their max-entropy factors, lambda2 comes from
-    the eigenvalue count of ``threshold_lambda2``, in O(n) per trial value,
-    whether or not the threshold removed edges. Every other network, and one
-    that ``threshold_lambda2`` declines (unequal factors), gets
-    ``laplacian_spectrum``.
+    When the exposures keep equal max-entropy factors p == q, lambda2 comes
+    from ``threshold_lambda2`` on p and the threshold, whether or not the
+    threshold removed edges: the exposures' dense ``X`` is never built, and
+    the degrees are those of ``build_network``'s mask by construction.
+    Every other network, and one with no edge left, gets ``build_network``
+    and ``laplacian_spectrum``, with their errors.
     """
     exposures = reconstruct_exposures(assets, method)
-    net = build_network(exposures, method.min_edge_threshold)
-    if exposures.factors is not None:
-        lam = threshold_lambda2(*exposures.factors, net.W > 0)
+    if exposures.factors is not None and np.array_equal(*exposures.factors):
+        lam = threshold_lambda2(exposures.factors[0], method.min_edge_threshold)
         if lam is not None:
             return lam
-    return laplacian_spectrum(net).lambda2
+    return laplacian_spectrum(build_network(exposures, method.min_edge_threshold)).lambda2
 
 
 @dataclass(frozen=True)

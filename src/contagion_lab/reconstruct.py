@@ -18,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -133,51 +134,74 @@ class ReconstructionConfig:
 
 # --- exposure matrix ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExposureMatrix:
-    """Dense non-negative bilateral exposure estimate with marginal metadata.
+    """Non-negative bilateral exposure estimate with marginal metadata.
 
     ``marginals_fitted`` is False for methods that intentionally do not
     reproduce the per-bank targets (KDE weighting).
-    ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal,
-    when ``X`` was built from them (max-entropy off the feasibility
-    boundary; p == q when the row and column targets are equal); otherwise
-    None.
+    ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal
+    (max-entropy off the feasibility boundary; p == q when the row and
+    column targets are equal), otherwise None. A matrix given its factors
+    and no ``X`` keeps only the factors. It is checked in O(n): the factors
+    are finite and non-negative, and its marginals p_i (sum q - q_i) and
+    q_j (sum p - p_j) meet the targets. Its dense ``X``, ``np.outer(p, q)``
+    with a zero diagonal, is built on first read. A matrix given ``X`` is
+    checked on ``X`` itself.
     """
 
     bank_ids: tuple[str, ...]
-    X: np.ndarray
     row_targets: np.ndarray
     col_targets: np.ndarray
-    method: str = "max_entropy"
-    marginals_fitted: bool = True
-    flags: tuple[str, ...] = ()
-    factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
-                                                          compare=False)
+    method: str
+    marginals_fitted: bool
+    flags: tuple[str, ...]
+    factors: tuple[np.ndarray, np.ndarray] | None = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        n = len(self.bank_ids)
-        if X.shape != (n, n):
-            raise ValueError(f"X must be {n}x{n}, got {X.shape}")
-        if not np.all(np.isfinite(X)) or np.any(X < 0):
-            raise ValueError("exposures must be finite and non-negative")
-        if np.any(np.diagonal(X) != 0.0):
-            raise ValueError("diagonal exposures must be zero")
-        if self.factors is not None and any(np.shape(v) != (n,) for v in self.factors):
+    def __init__(self, bank_ids: tuple[str, ...], X: np.ndarray | None,
+                 row_targets: np.ndarray, col_targets: np.ndarray,
+                 method: str = "max_entropy", marginals_fitted: bool = True,
+                 flags: tuple[str, ...] = (),
+                 factors: tuple[np.ndarray, np.ndarray] | None = None):
+        n = len(bank_ids)
+        if factors is not None and any(np.shape(v) != (n,) for v in factors):
             raise ValueError(f"factors must be two vectors of length {n}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "row_targets", np.asarray(self.row_targets, dtype=float))
-        object.__setattr__(self, "col_targets", np.asarray(self.col_targets, dtype=float))
-        if self.marginals_fitted:
-            scale = max(float(self.row_targets.max(initial=0.0)), 1e-300)
-            row_err = np.abs(X.sum(axis=1) - self.row_targets).max()
-            col_err = np.abs(X.sum(axis=0) - self.col_targets).max()
-            if max(row_err, col_err) > MARGINAL_RTOL * scale:
+        row_targets = np.asarray(row_targets, dtype=float)
+        col_targets = np.asarray(col_targets, dtype=float)
+        if X is not None:
+            X = np.asarray(X, dtype=float)
+            if X.shape != (n, n):
+                raise ValueError(f"X must be {n}x{n}, got {X.shape}")
+            if not np.all(np.isfinite(X)) or np.any(X < 0):
+                raise ValueError("exposures must be finite and non-negative")
+            if np.any(np.diagonal(X) != 0.0):
+                raise ValueError("diagonal exposures must be zero")
+            rows, cols = X.sum(axis=1), X.sum(axis=0)
+            self.__dict__["X"] = X  # the cached value of the ``X`` property
+        elif factors is not None:
+            p, q = factors
+            if not all(np.all((0.0 <= v) & (v < np.inf)) for v in factors):
+                raise ValueError("factors must be finite and non-negative")
+            rows, cols = p * _sum_of_others(q), q * _sum_of_others(p)
+        else:
+            raise ValueError("an exposure matrix needs X or its factors")
+        if marginals_fitted:
+            scale = max(float(row_targets.max(initial=0.0)), 1e-300)
+            err = max(np.abs(rows - row_targets).max(), np.abs(cols - col_targets).max())
+            if err > MARGINAL_RTOL * scale:
                 raise ValueError(
-                    f"marginals off by {max(row_err, col_err):.3e} "
-                    f"(> {MARGINAL_RTOL:.0e} * max target)"
+                    f"marginals off by {err:.3e} (> {MARGINAL_RTOL:.0e} * max target)"
                 )
+        self.__dict__.update(bank_ids=bank_ids, row_targets=row_targets,
+                             col_targets=col_targets, method=method,
+                             marginals_fitted=marginals_fitted, flags=flags, factors=factors)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """The dense n x n exposures, built from the factors on first read."""
+        X = np.outer(*self.factors)
+        np.fill_diagonal(X, 0.0)
+        return X
 
     @property
     def n(self) -> int:
@@ -193,6 +217,14 @@ class ExposureMatrix:
         for bank, row in zip(self.bank_ids, self.X):
             writer.writerow([bank, *[repr(float(v)) for v in row]])
         return buf.getvalue()
+
+
+def _sum_of_others(v: np.ndarray) -> np.ndarray:
+    """sum(v) - v_i for each i, as the sum of the terms before i plus the sum
+    of those after: a term that holds nearly all of sum(v) cancels nothing."""
+    before = np.concatenate([[0.0], np.cumsum(v[:-1])])
+    after = np.concatenate([np.cumsum(v[:0:-1])[::-1], [0.0]])
+    return before + after
 
 
 def exposure_from_csv_text(text: str) -> ExposureMatrix:
@@ -343,8 +375,9 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     The closed form has a positive diagonal. Zeroing it and restoring both
     marginals keeps the product form x_ij = p_i q_j off the diagonal, with
     the factors from one scalar equation (``_max_entropy_factors``); the
-    result carries ``factors=(p, q)``, and p == q when A == L. The forced
-    solution on the feasibility boundary carries none.
+    result keeps only ``factors=(p, q)``, and p == q when A == L, until its
+    ``X`` is read. The forced solution on the feasibility boundary has no
+    factors and is built dense.
     """
     A = np.asarray(A, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -374,9 +407,7 @@ def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
         X[i, i] = 0.0
         factors = None
     else:
-        factors = _max_entropy_factors(A, L)
-        X = np.outer(*factors)
-        np.fill_diagonal(X, 0.0)
+        X, factors = None, _max_entropy_factors(A, L)
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(A))
     return ExposureMatrix(bank_ids=ids, X=X, row_targets=A, col_targets=L,
                           method="max_entropy", factors=factors)

@@ -1,31 +1,40 @@
 """lambda2 of max-entropy networks from their factors.
 
 ``network_lambda2`` counts eigenvalues with ``threshold_lambda2`` when the
-exposures keep their factors, whether the threshold left the network
-complete or removed edges, and runs ``laplacian_spectrum`` otherwise or when
-the count declines, as it does for unequal factors (A != L). Dense
-``eigvalsh`` of the network's Laplacian (of its largest component) is the
-oracle; eigensolver counters guard which path a run takes.
+exposures keep equal factors, whether the threshold left the network
+complete or removed edges, and runs ``build_network`` and
+``laplacian_spectrum`` otherwise (unequal factors, as A != L gives) or when
+fewer than 2 banks keep an edge. Dense ``eigvalsh`` of the network's
+Laplacian (of its largest component) is the oracle, and the mask of
+``build_network`` the oracle of the degrees; eigensolver counters guard
+which path a run takes, and ``tracemalloc`` that it builds no n x n array.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_connected_network
-from contagion_lab.errors import InfeasibleMarginals
+from contagion_lab.errors import InfeasibleMarginals, SingletonGraph
 from contagion_lab import pipeline
 from contagion_lab.graph import (
     WeightedNetwork,
+    _ranked_degrees,
     build_network,
     laplacian_spectrum,
     threshold_lambda2,
 )
 from contagion_lab.ingest import BankPanel
 from contagion_lab.pipeline import RunConfig, network_lambda2, sweep_ratios, synth_panel
-from contagion_lab.reconstruct import ReconstructionConfig, max_entropy, reconstruct_exposures
+from contagion_lab.reconstruct import (
+    ExposureMatrix,
+    ReconstructionConfig,
+    max_entropy,
+    reconstruct_exposures,
+)
 from contagion_lab.stats import _replicate_rng, bootstrap_lambda2, leave_one_out_lambda2
 
 COMPLETE = ReconstructionConfig(min_edge_threshold=0.0)
@@ -60,9 +69,11 @@ def maxent_network(assets, method=COMPLETE):
     return exposures, build_network(exposures, method.min_edge_threshold)
 
 
-def count_lambda2(exposures, net):
-    """``threshold_lambda2`` on the factors and edge mask of ``net``."""
-    return threshold_lambda2(*exposures.factors, net.W > 0)
+def count_lambda2(exposures, epsilon=0.0):
+    """``threshold_lambda2`` on the equal factors of ``exposures``."""
+    p, q = exposures.factors
+    assert np.array_equal(p, q)
+    return threshold_lambda2(p, epsilon)
 
 
 @pytest.fixture
@@ -89,7 +100,7 @@ class TestAgainstDenseEigvalsh:
             assert exposures.factors is not None
             assert np.count_nonzero(net.W) == net.n * (net.n - 1)
             got = network_lambda2(assets, COMPLETE)
-            assert count_lambda2(exposures, net) == got
+            assert count_lambda2(exposures) == got
         want = np.linalg.eigvalsh(net.laplacian())[1]
         assert abs(got - want) <= 1e-12 * want
 
@@ -98,13 +109,11 @@ class TestAgainstDenseEigvalsh:
             exposures, net = maxent_network(np.full(n, 7.0))
             w = net.W[0, 1]
             assert np.all(net.W[~np.eye(n, dtype=bool)] == w)
-            assert count_lambda2(exposures, net) == pytest.approx(n * w, rel=1e-14)
+            assert count_lambda2(exposures) == pytest.approx(n * w, rel=1e-14)
 
     def test_two_banks_closed_form(self):
         # one edge of weight w = p_0 p_1 + p_1 p_0 = 4, lambda2 = 2 w
-        p = np.array([1.0, 2.0])
-        assert threshold_lambda2(p, p, ~np.eye(2, dtype=bool)) == \
-            pytest.approx(8.0, rel=1e-15)
+        assert threshold_lambda2(np.array([1.0, 2.0]), 0.0) == pytest.approx(8.0, rel=1e-15)
 
     def test_lowest_degree_bank_repeated_is_the_lower_bound(self):
         # banks 0 and 1 are identical and the smallest: e_0 - e_1 is an
@@ -112,7 +121,7 @@ class TestAgainstDenseEigvalsh:
         assets = np.array([1.0, 1.0, 3.0, 4.0, 5.0, 6.0])
         exposures, net = maxent_network(assets)
         want = np.linalg.eigvalsh(net.laplacian())[1]
-        assert count_lambda2(exposures, net) == pytest.approx(want, rel=1e-13)
+        assert count_lambda2(exposures) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n", [70, 300])
     def test_paper_scale_lognormal(self, n):
@@ -121,7 +130,7 @@ class TestAgainstDenseEigvalsh:
             exposures, net = maxent_network(assets)
             want = np.linalg.eigvalsh(net.laplacian())[1]
             got = network_lambda2(assets, COMPLETE)
-            assert got == count_lambda2(exposures, net)
+            assert got == count_lambda2(exposures)
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -176,7 +185,7 @@ class TestThresholdedAgainstDenseEigvalsh:
         if where == "isolating":
             assert deg.min() == 0
         with np.errstate(all="raise"):
-            got = threshold_lambda2(*exposures.factors, adj)
+            got = count_lambda2(exposures, method.min_edge_threshold)
         assert got is not None
         want = largest_component_lambda2(net)
         assert abs(got - want) <= 1e-12 * want
@@ -188,7 +197,7 @@ class TestThresholdedAgainstDenseEigvalsh:
         for seed in range(2):
             assets = np.random.default_rng(seed).lognormal(11.0, 1.0, n)
             exposures, net = maxent_network(assets, method)
-            got = count_lambda2(exposures, net)
+            got = count_lambda2(exposures, epsilon)
             want = largest_component_lambda2(net)
             assert abs(got - want) <= 1e-12 * want
 
@@ -201,7 +210,8 @@ class TestThresholdedAgainstDenseEigvalsh:
             np.fill_diagonal(W, 0.0)
             W[W <= cut] = 0.0
             net = WeightedNetwork(tuple("abcde"[:len(u)]), 2.0 * W)
-            got = threshold_lambda2(u, u, net.W > 0)
+            # u_i u_j > cut exactly when 2 fl(u_i u_j) > 2 cut
+            got = threshold_lambda2(u, 2.0 * cut)
             want = largest_component_lambda2(net)
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -214,37 +224,146 @@ class TestThresholdedAgainstDenseEigvalsh:
         W = 2.0 * np.outer(u, u)
         np.fill_diagonal(W, 0.0)
         W[W <= 8.4] = 0.0
-        adj = W > 0
-        assert adj.sum(axis=1).tolist() == [4, 3, 2, 2, 1]
+        assert (W > 0).sum(axis=1).tolist() == [4, 3, 2, 2, 1]
+        assert _ranked_degrees(u, 8.4).tolist() == [4, 3, 2, 2, 1]
         assert 2.0 * u[3] * (u[0] + u[1]) == 160.0 * (23 / 25)
         want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
-        assert threshold_lambda2(u, u, adj) == pytest.approx(want, rel=1e-13)
+        assert threshold_lambda2(u, 8.4) == pytest.approx(want, rel=1e-13)
 
     def test_declines_what_it_cannot_count(self, monkeypatch, eigvalsh_calls):
         u = np.array([4.0, 3.0, 2.0, 1.0])
-        W = 2.0 * np.outer(u, u)
-        np.fill_diagonal(W, 0.0)
-        W[W <= 9.0] = 0.0          # keeps 0-1, 0-2 and 1-2
-        adj = W > 0
-        assert threshold_lambda2(u, u, adj) is not None
-        # q != p, also when proportional to it
-        assert threshold_lambda2(u, u * [1.0, 1.0, 1.0, 1.0 + 1e-6], adj) is None
-        assert threshold_lambda2(u, 3.0 * u, adj) is None
-        # bank 3 joined to bank 2 but not to bank 0, which outranks bank 2
-        nested_not = adj.copy()
-        nested_not[2, 3] = nested_not[3, 2] = True
-        assert threshold_lambda2(u, u, nested_not) is None
-        # no edge left
-        assert threshold_lambda2(u, u, np.zeros_like(adj)) is None
-        # a complete network whose factors differ (A != L)
+        # the weights 2 u_i u_j above 9 are 0-1, 0-2 and 1-2
+        assert _ranked_degrees(u, 9.0).tolist() == [2, 2, 2, 0]
+        assert threshold_lambda2(u, 9.0) is not None
+        # no edge left (the largest weight is 24), or a single bank
+        assert threshold_lambda2(u, 24.0) is None
+        assert threshold_lambda2(u[:1], 0.0) is None
+        # a complete network whose factors differ (A != L) is not counted
         exposures = max_entropy([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
+        assert not np.array_equal(*exposures.factors)
         net = build_network(exposures)
         assert np.count_nonzero(net.W) == 4 * 3
-        assert count_lambda2(exposures, net) is None
         monkeypatch.setattr(pipeline, "reconstruct_exposures", lambda assets, method: exposures)
         got = network_lambda2(u, COMPLETE)
         assert eigvalsh_calls == [4]
         assert got == laplacian_spectrum(net).lambda2
+
+
+@st.composite
+def degree_cases(draw):
+    """Lognormal sizes or resamples that repeat banks (tied u), and a
+    threshold of 0, exactly on a weight 2 fl(u_i u_j), halfway between two
+    weights, or on or above the largest weight."""
+    n = draw(st.integers(3, 80))  # two banks are on the feasibility boundary
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sigma as in ``asset_vectors``, so that eigvalsh is an accurate oracle
+    assets = rng.lognormal(11.0, draw(st.floats(0.05, 1.2)), n)
+    if draw(st.booleans()):
+        assets = assets[rng.integers(0, draw(st.integers(1, n)), n)]
+    exposures, net = maxent_network(assets)
+    u = exposures.factors[0]
+    w = np.unique(net.W[net.W > 0])
+    where = draw(st.sampled_from(["zero", "on", "between", "top", "above"]))
+    if where == "on":
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.integers(1, n - 1))) % n
+        epsilon = float(2.0 * (u[i] * u[j]))
+        assert epsilon in w
+    elif where == "between" and len(w) >= 2:
+        k = draw(st.integers(0, len(w) - 2))
+        epsilon = float(0.5 * (w[k] + w[k + 1]))
+    elif where in ("top", "above"):
+        epsilon = float(w[-1]) * (2.0 if where == "above" else 1.0)
+    else:
+        epsilon = 0.0
+    return assets, exposures, epsilon
+
+
+class TestDegreesFromFactors:
+    @given(degree_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_degrees_equal_the_mask_of_build_network(self, case):
+        assets, exposures, epsilon = case
+        u = exposures.factors[0]
+        order = np.argsort(-u, kind="stable")
+        net = build_network(exposures, epsilon)
+        want = (net.W > 0).sum(axis=1)
+        assert np.array_equal(_ranked_degrees(u[order], epsilon), want[order])
+        method = ReconstructionConfig(min_edge_threshold=epsilon)
+        try:
+            dense = laplacian_spectrum(net).lambda2
+        except SingletonGraph:
+            assert want.max() <= 1  # no edge: one edge leaves two banks
+            with pytest.raises(SingletonGraph):
+                network_lambda2(assets, method)
+            return
+        got = network_lambda2(assets, method)
+        assert abs(got - dense) <= 1e-12 * dense
+
+    def test_unequal_factors_take_the_dense_path(self, monkeypatch, eigvalsh_calls):
+        # q is p with one entry one ulp larger: the weights p_i q_j + q_i p_j
+        # are no longer 2 fl(p_i p_j) in that row and column
+        assets = np.random.default_rng(5).lognormal(11.0, 1.0, 50)
+        em = reconstruct_exposures(assets, COMPLETE)
+        p = em.factors[0]
+        q = p.copy()
+        q[7] = np.nextafter(q[7], np.inf)
+        unequal = ExposureMatrix(em.bank_ids, None, em.row_targets, em.col_targets,
+                                 factors=(p, q))
+        monkeypatch.setattr(pipeline, "reconstruct_exposures", lambda assets, method: unequal)
+        method = ReconstructionConfig(min_edge_threshold=threshold_between(
+            build_network(em), 0.5))
+        got = network_lambda2(assets, method)
+        net = build_network(unequal, method.min_edge_threshold)
+        assert sum(eigvalsh_calls) == 50  # the dense path's blocks
+        assert got == laplacian_spectrum(net).lambda2
+
+    def test_no_edge_raises_what_the_dense_path_raises(self, eigvalsh_calls):
+        assets = np.random.default_rng(5).lognormal(11.0, 1.0, 50)
+        method = ReconstructionConfig(min_edge_threshold=1e12)
+        with pytest.raises(SingletonGraph, match="largest component has fewer than 2 nodes"):
+            network_lambda2(assets, method)
+        assert eigvalsh_calls == []
+
+
+class TestNoDenseArray:
+    """The paper-scale sparse case of the benchmark: n = 1000, epsilon 30."""
+
+    N = 1000
+    METHOD = ReconstructionConfig(min_edge_threshold=30.0)
+
+    def assets(self):
+        return np.random.default_rng(0).lognormal(11.0, 1.0, self.N)
+
+    def test_peak_allocation_is_below_one_boolean_mask(self):
+        assets = self.assets()
+        network_lambda2(assets, self.METHOD)  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            network_lambda2(assets, self.METHOD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N * self.N
+
+    def test_exposures_build_x_only_when_read(self, monkeypatch, eigvalsh_calls):
+        made = []
+
+        def keep(assets, method):
+            made.append(reconstruct_exposures(assets, method))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline, "reconstruct_exposures", keep)
+        got = network_lambda2(self.assets(), self.METHOD)
+        (exposures,) = made
+        assert "X" not in vars(exposures)  # ``X`` caches itself there on first read
+        assert eigvalsh_calls == []
+        p, q = exposures.factors
+        want = np.outer(p, q)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(exposures.X, want)
+        net = build_network(exposures, self.METHOD.min_edge_threshold)
+        assert abs(got - largest_component_lambda2(net)) <= 1e-12 * got
 
 
 class TestWhichPath:
@@ -292,23 +411,6 @@ class TestWhichPath:
             net = build_network(reconstruct_exposures(assets, method), epsilon)
             assert (len(net.components()) > 1) == (blocks == 2)
             assert got == laplacian_spectrum(net).lambda2
-
-    def test_mask_that_is_not_nested_takes_the_dense_path(self, monkeypatch, eigvalsh_calls):
-        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
-        _, net = maxent_network(assets)
-        method = ReconstructionConfig(min_edge_threshold=threshold_between(net, 1 / 3))
-        exposures, thresholded = maxent_network(assets, method)
-        # join the two smallest banks, which the threshold had separated
-        a, b = np.argsort(assets)[:2]
-        W = thresholded.W.copy()
-        assert W[a, b] == 0.0
-        W[a, b] = W[b, a] = net.W[a, b]
-        edited = WeightedNetwork(thresholded.bank_ids, W)
-        assert threshold_lambda2(*exposures.factors, W > 0) is None
-        monkeypatch.setattr(pipeline, "build_network", lambda exposures, epsilon: edited)
-        got = network_lambda2(assets, method)
-        assert len(eigvalsh_calls) == (1 if len(edited.components()) == 1 else 2)
-        assert got == laplacian_spectrum(edited).lambda2
 
     def test_leave_one_out_and_sweep_take_the_structured_path(self, eigvalsh_calls):
         assets = np.random.default_rng(4).lognormal(11.0, 0.5, 12)

@@ -349,6 +349,18 @@ class TestCliCommands:
             results.append(json.loads((out / "fit.json").read_text())["results"])
         assert results[0] == results[1]
 
+    def test_fit_rejects_a_stray_line_in_a_file_without_header(self, tmp_path):
+        values = np.random.default_rng(42).lognormal(2.0, 0.7, 200)
+        lines = [repr(float(v)) for v in values]
+        lines.insert(150, "12,5")  # a typo for 12.5, on line 151
+        path = tmp_path / "values.csv"
+        path.write_text("\n".join(lines) + "\n")
+        r = run_cli("fit", "--input", str(path), "--column", "absent",
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 4
+        assert r.stderr.splitlines() == ["error: line 151: '12,5' is not a number"]
+        assert not (tmp_path / "fit.json").exists()
+
     def test_did_two_by_two_through_cli(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(
@@ -520,6 +532,16 @@ class TestCliCommands:
         r = run_cli("bootstrap", "-B", "10", "--input", str(path),
                     "--output-dir", str(tmp_path))
         assert r.returncode == 0, r.stderr
+
+    def test_bootstrap_with_no_edge_left_fails_on_the_dense_path(self, tmp_path):
+        # equal factors and an epsilon above every weight: lambda2 falls back
+        # to the dense path, whose SingletonGraph is the one-line exit 4
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(20, [2018], seed=1))
+        r = run_cli("bootstrap", "--input", str(panel), "-B", "10", "--epsilon", "1e12",
+                    "--output-dir", str(tmp_path))
+        assert r.returncode == 4
+        assert r.stderr == "error: largest component has fewer than 2 nodes\n"
 
     def test_bootstrap_command_table(self, tmp_path):
         panel = tmp_path / "panel.csv"

@@ -204,6 +204,27 @@ class TestMaxEntropy:
             ExposureMatrix(bank_ids=em.bank_ids, X=em.X, row_targets=em.row_targets,
                            col_targets=em.col_targets, factors=(np.ones(3), np.ones(4)))
 
+    def test_factored_matrix_is_checked_on_its_factors(self):
+        em = max_entropy([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        assert "X" not in vars(em)  # built on first read only
+        p, q = em.factors
+        args = (em.bank_ids, None, em.row_targets, em.col_targets)
+        for bad in (np.inf, np.nan, -1.0):
+            worse = p.copy()
+            worse[2] = bad
+            with pytest.raises(ValueError, match="factors must be finite and non-negative"):
+                ExposureMatrix(*args, factors=(worse, q))
+        with pytest.raises(ValueError, match="marginals off"):
+            ExposureMatrix(*args, factors=(p * (1 + 1e-8), q))
+        with pytest.raises(ValueError, match="needs X or its factors"):
+            ExposureMatrix(*args)
+        # the same factors with their dense X: checked on X, which is kept
+        X = np.outer(p, q)
+        np.fill_diagonal(X, 0.0)
+        dense = ExposureMatrix(em.bank_ids, X, em.row_targets, em.col_targets,
+                               factors=em.factors)
+        assert dense.X is X and np.array_equal(em.X, X)
+
     def test_infeasible_marginal_raises(self):
         # one bank holds more than half the total: no zero-diagonal solution
         with pytest.raises(InfeasibleMarginals):

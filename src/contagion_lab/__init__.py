@@ -1,16 +1,12 @@
 """Interbank network reconstruction and contagion analytics."""
 
 from .contagion import (
-    CascadeConfig,
     DiffusionParams,
     DistressState,
-    cascade,
     critical_distance,
-    dominance_share,
     effective_decay,
     fit_temporal_decay,
     kappa_ratio,
-    prediction_proportional,
     solve_diffusion,
     temporal_decay_rate,
 )
@@ -19,8 +15,6 @@ from .graph import (
     TopologyReport,
     WeightedNetwork,
     build_network,
-    degree_sequence,
-    fiedler_partition,
     laplacian_spectrum,
     topology_report,
 )

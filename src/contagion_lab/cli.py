@@ -301,7 +301,10 @@ def _positive_int(text: str) -> int:
 
 
 def _fixed_ratio(text: str) -> FixedRatio:
-    return FixedRatio(float(text))
+    try:
+        return FixedRatio(float(text))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:

@@ -4,8 +4,7 @@ The distress field u(t) evolves by du/dt = -D L u - kappa u, solved in
 closed form through the Laplacian eigenbasis. Spatial attenuation from a
 localized shock is summarized by the effective decay rate
 sqrt(lambda2 / D) + kappa and the critical distance at which distress
-falls below a fraction of its source value. A threshold cascade
-simulator provides the discrete counterpart.
+falls below a fraction of its source value.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .errors import (
     InvalidEpsilon,
     NonPositiveLambda2,
 )
-from .graph import SpectrumResult, WeightedNetwork
+from .graph import SpectrumResult
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,6 @@ class DistressState:
         return float(self.u.sum())
 
 
-@dataclass(frozen=True)
-class CascadeConfig:
-    """Source shock, propagation threshold, and per-step decay."""
-
-    source: int
-    s0: float
-    theta: float
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if not self.s0 > 0:
-            raise ValueError("s0 must be > 0")
-        if not self.theta > 0:
-            raise ValueError("theta must be > 0")
-        if not 0.0 <= self.kappa < 1.0:
-            raise ValueError("kappa must be in [0, 1)")
-
-
 def effective_decay(lambda2: float, params: DiffusionParams) -> float:
     """Effective spatial decay rate sqrt(lambda2 / D) + kappa."""
     if not lambda2 > 0:
@@ -97,21 +78,6 @@ def kappa_ratio(lambda2_new: float, lambda2_old: float) -> float:
     if not (lambda2_new > 0 and lambda2_old > 0):
         raise NonPositiveLambda2("both lambda2 values must be > 0")
     return math.sqrt(lambda2_new / lambda2_old)
-
-
-def prediction_proportional(d_lambda_rel: float, d_D_rel: float) -> float:
-    """First-order response: half the relative lambda2 change net of D."""
-    if d_lambda_rel <= -1 or d_D_rel <= -1:
-        raise ValueError("relative changes must exceed -1")
-    return 0.5 * (d_lambda_rel - d_D_rel)
-
-
-def dominance_share(lambda2: float, params: DiffusionParams) -> float:
-    """Fraction of the effective decay contributed by network structure."""
-    if not lambda2 > 0:
-        raise NonPositiveLambda2(f"lambda2 must be > 0, got {lambda2}")
-    root = math.sqrt(lambda2 / params.D)
-    return root / (root + params.kappa)
 
 
 def solve_diffusion(spectrum: SpectrumResult, params: DiffusionParams,
@@ -196,32 +162,3 @@ def fit_temporal_decay(spectrum: SpectrumResult, params: DiffusionParams,
         norms.append(np.linalg.norm(resid))
     slope = np.polyfit(times, np.log(norms), 1)[0]
     return float(-slope)
-
-
-def cascade(net: WeightedNetwork, cfg: CascadeConfig) -> int:
-    """Threshold cascade size from a single seeded shock.
-
-    Nodes whose distress exceeds theta join the cascade set in ascending
-    index order within a sweep; each joining node makes a one-shot
-    transfer w_ij * (its distress at entry) to nodes outside the set,
-    after which the remaining field decays by (1 - kappa). Distress of a
-    cascaded node is frozen at its entry value, so every node contributes
-    exactly once and the loop terminates.
-    """
-    n = net.n
-    if not 0 <= cfg.source < n:
-        raise DimensionMismatch(f"source {cfg.source} outside [0, {n})")
-    u = np.zeros(n)
-    u[cfg.source] = cfg.s0
-    in_cascade = np.zeros(n, dtype=bool)
-    while True:
-        eligible = np.flatnonzero((u > cfg.theta) & ~in_cascade)
-        if eligible.size == 0:
-            break
-        entry_values = u[eligible]
-        in_cascade[eligible] = True
-        outside = ~in_cascade
-        # one-shot transfer from the newly cascaded nodes, then decay
-        u[outside] += net.W[np.ix_(np.flatnonzero(outside), eligible)] @ entry_values
-        u[outside] *= 1.0 - cfg.kappa
-    return int(in_cascade.sum())

@@ -66,10 +66,6 @@ class SingletonGraph(ContagionLabError):
     """Largest connected component has fewer than 2 nodes."""
 
 
-class DegenerateVector(ContagionLabError):
-    """Fiedler vector has entries of only one sign; signals solver failure."""
-
-
 class TooSmall(ContagionLabError):
     """Component too small for the requested topology metrics."""
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateVector, NonPositiveLambda2, SingletonGraph, TooSmall
+from .errors import SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
 
 #: Two shortest-path lengths within TIE_RTOL of each other (relative) tie.
@@ -355,33 +355,6 @@ def eigenvalues_csv_text(spectrum: SpectrumResult) -> str:
     for i, v in enumerate(spectrum.eigenvalues, start=1):
         lines.append(f"{i},{float(v)!r}")
     return "\n".join(lines) + "\n"
-
-
-def fiedler_partition(spectrum: SpectrumResult) -> tuple[set, set]:
-    """Bipartition the largest component by the sign of the Fiedler vector.
-
-    Entries within roundoff of zero go to the positive side; nodes off the
-    largest component belong to neither set.
-    """
-    if not spectrum.lambda2 > 0:
-        raise NonPositiveLambda2("lambda2 must be > 0 for a meaningful partition")
-    q2 = spectrum.fiedler_vector
-    mask = spectrum.component_mask
-    tol = 1e-12 * max(1.0, float(np.abs(q2).max()))
-    pos = {spectrum.bank_ids[i] for i in range(len(q2)) if mask[i] and q2[i] >= -tol}
-    neg = {spectrum.bank_ids[i] for i in range(len(q2)) if mask[i] and q2[i] < -tol}
-    if not pos or not neg:
-        raise DegenerateVector(
-            "Fiedler vector has a single sign; eigensolver output is invalid"
-        )
-    return pos, neg
-
-
-def degree_sequence(net: WeightedNetwork, weighted: bool = True) -> np.ndarray:
-    """Weighted degree sums or unweighted counts of positive entries."""
-    if weighted:
-        return net.weighted_degrees()
-    return (net.W > 0).sum(axis=1).astype(float)
 
 
 def gini_coefficient(values: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from .errors import (
 )
 
 MARGINAL_RTOL = 1e-9      # |row sum - target| <= MARGINAL_RTOL * max(target)
-IPF_RTOL = 1e-12
+GREEDY_RTOL = 1e-12       # min_density pairs residuals above GREEDY_RTOL * max(A)
 
 #: Baseline interbank ratio and sensitivity sweep bounds.
 DEFAULT_RHO = 0.05
@@ -54,6 +54,10 @@ class RatioRule:
 class FixedRatio(RatioRule):
     kind = "fixed"
     rho: float = DEFAULT_RHO
+
+    def __post_init__(self):
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigError(f"rho must be in (0, 1), got {self.rho!r}")
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         return np.full(len(assets), self.rho, dtype=float)
@@ -126,10 +130,12 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.method not in ("max_entropy", "kde", "fitness", "min_density"):
             raise ConfigError(f"unknown reconstruction method {self.method!r}")
-        if self.method == "fitness" and not self.fitness_alpha > 0:
-            raise ConfigError("fitness_alpha must be > 0")
-        if self.min_edge_threshold < 0:
-            raise ConfigError("min_edge_threshold must be >= 0")
+        # written as "not ok" so that NaN, which fails every comparison, is rejected
+        if self.method == "fitness" and not 0.0 < self.fitness_alpha < math.inf:
+            raise ConfigError(f"fitness_alpha must be > 0 and finite, got {self.fitness_alpha!r}")
+        if not self.min_edge_threshold >= 0:
+            raise ConfigError(
+                f"min_edge_threshold must be >= 0, got {self.min_edge_threshold!r}")
 
 
 # --- exposure matrix ----------------------------------------------------------
@@ -206,9 +212,6 @@ class ExposureMatrix:
     @property
     def n(self) -> int:
         return len(self.bank_ids)
-
-    def total(self) -> float:
-        return float(self.X.sum())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -288,9 +291,9 @@ def interbank_aggregates(assets: Sequence[float] | np.ndarray,
     if np.any(T <= 0) or not np.all(np.isfinite(T)):
         raise ValueError("assets must be strictly positive and finite")
     rho = rule.ratios(T)
-    if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-        bad = rho[(rho <= 0.0) | (rho >= 1.0)][0]
-        raise InvalidRatio(f"ratio {bad!r} outside (0, 1)")
+    outside = ~((0.0 < rho) & (rho < 1.0))  # NaN is outside too
+    if outside.any():
+        raise InvalidRatio(f"ratio {rho[outside][0]!r} outside (0, 1)")
     A = rho * T
     return A, A.copy()
 
@@ -478,14 +481,16 @@ def fitness_model(assets: Sequence[float] | np.ndarray, alpha: float,
 
     x_ij = eta_i eta_j / sum_{k != l} eta_k eta_l * total; diagonal terms
     are excluded from the normalizing sum so the off-diagonal total is
-    exact.
+    exact. The scores are taken relative to the largest bank,
+    eta_i = (T_i / max T)^alpha, which the normalization cancels, so that
+    a large alpha cannot overflow.
     """
     T = np.asarray(assets, dtype=float)
     if np.any(T <= 0):
         raise ValueError("assets must be strictly positive")
     if not total_interbank > 0:
         raise ZeroTotal("total_interbank must be > 0")
-    eta = T ** alpha
+    eta = (T / T.max()) ** alpha
     W = np.outer(eta, eta)
     np.fill_diagonal(W, 0.0)
     X = W * (total_interbank / W.sum())
@@ -521,7 +526,7 @@ def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     X = np.zeros((n, n))
     r = A.astype(float).copy()
     c = L.astype(float).copy()
-    tol = IPF_RTOL * max(float(A.max(initial=0.0)), 1e-300)
+    tol = GREEDY_RTOL * max(float(A.max(initial=0.0)), 1e-300)
     all_idx = np.arange(n)
     for _ in range(6 * n + 10):
         if r.max(initial=0.0) <= tol and c.max(initial=0.0) <= tol:

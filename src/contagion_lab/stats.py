@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -362,15 +362,12 @@ class DidResult:
 
 
 def _did_design(bank_ids: Sequence[str], years: Sequence[int],
-                treatment: TreatmentAssignment,
-                interactions: Sequence[str],
-                covariates: Mapping[str, Mapping[str, float]] | None):
+                treatment: TreatmentAssignment):
     """Full-dummy design matrix and term names.
 
     Columns: intercept, bank dummies (drop first), year dummies (drop
-    first), Treated x Post_y for every non-base year y, and for each
-    requested covariate Z both Z x Post_y (double) and
-    Treated x Post_y x Z (triple). Post_y = 1{year >= y}.
+    first), and Treated x Post_y for every non-base year y, with
+    Post_y = 1{year >= y}.
     """
     banks = sorted(set(bank_ids))
     yrs = sorted(set(years))
@@ -390,30 +387,16 @@ def _did_design(bank_ids: Sequence[str], years: Sequence[int],
         cols.append((year_arr == yv).astype(float))
         names.append(f"year[{yv}]")
         reported.append(f"year[{yv}]")
-    post = {yv: (year_arr >= yv).astype(float) for yv in yrs[1:]}
     for yv in yrs[1:]:
-        cols.append(treated * post[yv])
+        cols.append(treated * (year_arr >= yv))
         names.append(f"treated_post{yv}")
         reported.append(f"treated_post{yv}")
-    for z in interactions:
-        if covariates is None:
-            raise ValueError(f"interaction {z!r} requested without covariates")
-        zvec = np.array([float(covariates[b][z]) for b in bank_ids])
-        for yv in yrs[1:]:
-            cols.append(zvec * post[yv])
-            names.append(f"{z}_post{yv}")
-            reported.append(f"{z}_post{yv}")
-            cols.append(treated * post[yv] * zvec)
-            names.append(f"treated_post{yv}_x_{z}")
-            reported.append(f"treated_post{yv}_x_{z}")
     X = np.column_stack(cols)
     return X, names, reported
 
 
 def did_regress(observations: Iterable[tuple[str, int, float]],
-                treatment: TreatmentAssignment,
-                interactions: Sequence[str] = (),
-                covariates: Mapping[str, Mapping[str, float]] | None = None) -> DidResult:
+                treatment: TreatmentAssignment) -> DidResult:
     """Two-way FE DID with CR0 cluster-robust SEs clustered by bank.
 
     ``observations`` are (bank_id, year, outcome) triples. Estimated by
@@ -437,7 +420,7 @@ def did_regress(observations: Iterable[tuple[str, int, float]],
     if len(arms) < 2:
         raise CollinearDesign("all banks in one treatment arm")
 
-    X, names, reported = _did_design(bank_ids, years, treatment, interactions, covariates)
+    X, names, reported = _did_design(bank_ids, years, treatment)
     N, K = X.shape
     if np.linalg.matrix_rank(X) < K:
         raise CollinearDesign("design is rank deficient after FE absorption")

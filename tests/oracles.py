@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -36,8 +36,6 @@ def matrix_ras(A: np.ndarray, L: np.ndarray, rtol: float = 1e-12,
 
 def did_within_coefficients(observations: Iterable[tuple[str, int, float]],
                             treatment: TreatmentAssignment,
-                            interactions: Sequence[str] = (),
-                            covariates: Mapping[str, Mapping[str, float]] | None = None,
                             tol: float = 1e-12, max_iter: int = 10_000) -> dict[str, float]:
     """Within-transformation estimates of the non-FE terms.
 
@@ -49,7 +47,7 @@ def did_within_coefficients(observations: Iterable[tuple[str, int, float]],
     bank_ids = [o[0] for o in obs]
     years = [int(o[1]) for o in obs]
     y = np.array([float(o[2]) for o in obs])
-    X, names, _ = _did_design(bank_ids, years, treatment, interactions, covariates)
+    X, names, _ = _did_design(bank_ids, years, treatment)
 
     keep = [i for i, nm in enumerate(names)
             if not (nm == "intercept" or nm.startswith("bank[") or nm.startswith("year["))]

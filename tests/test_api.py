@@ -6,18 +6,17 @@ import types
 import contagion_lab
 
 PUBLIC = [
-    "BankPanel", "BankRecord", "BootstrapResult", "CascadeConfig", "DidResult",
-    "DiffusionParams", "DistressState", "ExposureMatrix", "FitComparison", "FixedRatio",
-    "LinearLogRatio", "RatioRule", "ReconstructionConfig", "SizeThresholdRatio",
-    "SpectrumResult", "TieredRatio", "TopologyReport", "TreatmentAssignment",
-    "WeightedNetwork", "assign_treatment", "balanced_panel", "bootstrap_lambda2",
-    "build_network", "cascade", "critical_distance", "degree_sequence", "did_regress",
-    "dominance_share", "effective_decay", "fiedler_partition", "fit_distributions",
+    "BankPanel", "BankRecord", "BootstrapResult", "DidResult", "DiffusionParams",
+    "DistressState", "ExposureMatrix", "FitComparison", "FixedRatio", "LinearLogRatio",
+    "RatioRule", "ReconstructionConfig", "SizeThresholdRatio", "SpectrumResult",
+    "TieredRatio", "TopologyReport", "TreatmentAssignment", "WeightedNetwork",
+    "assign_treatment", "balanced_panel", "bootstrap_lambda2", "build_network",
+    "critical_distance", "did_regress", "effective_decay", "fit_distributions",
     "fit_temporal_decay", "fitness_model", "interbank_aggregates", "kappa_ratio",
     "kde_weights", "laplacian_spectrum", "leave_one_out_lambda2", "load_panel",
     "max_entropy", "min_density", "network_lambda2", "permutation_test", "placebo_null",
-    "power_law_mle", "prediction_proportional", "reconstruct_exposures",
-    "series_correlation", "solve_diffusion", "temporal_decay_rate", "topology_report",
+    "power_law_mle", "reconstruct_exposures", "series_correlation", "solve_diffusion",
+    "temporal_decay_rate", "topology_report",
 ]
 
 

@@ -7,17 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complete_network, random_connected_network
 from contagion_lab.contagion import (
-    CascadeConfig,
     DiffusionParams,
     DistressState,
-    cascade,
     critical_distance,
     diffusion_trajectory,
-    dominance_share,
     effective_decay,
     fit_temporal_decay,
     kappa_ratio,
-    prediction_proportional,
     solve_diffusion,
     temporal_decay_rate,
 )
@@ -85,37 +81,6 @@ class TestKappaRatio:
 
     def test_halving_gives_inverse_sqrt2(self):
         assert kappa_ratio(0.5 * 3.3, 3.3) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-
-
-class TestPredictionArithmetic:
-    def test_forty_percent_decline(self):
-        assert prediction_proportional(-0.40, 0.0) == pytest.approx(-0.20)
-
-    def test_zero_change(self):
-        assert prediction_proportional(0.0, 0.0) == 0.0
-
-    def test_first_order_gap_documented(self):
-        # linearized -22.45% vs the exact 1-sqrt(0.551) = 25.77% decline
-        approx = prediction_proportional(-0.449, 0.0)
-        assert approx == pytest.approx(-0.2245)
-        exact = 1.0 - math.sqrt(0.551)
-        assert exact == pytest.approx(0.2577, abs=5e-5)
-        assert abs(exact - (-approx)) > 0.03  # the gap is real, not roundoff
-
-    def test_d_change_enters_negatively(self):
-        assert prediction_proportional(0.0, 0.2) == pytest.approx(-0.1)
-
-
-class TestDominanceShare:
-    def test_no_intrinsic_decay(self):
-        assert dominance_share(123.4, DiffusionParams(D=2.0, kappa=0.0)) == 1.0
-
-    def test_balanced_case(self):
-        assert dominance_share(1.0, DiffusionParams(D=1.0, kappa=1.0)) == 0.5
-
-    def test_empirical_scale(self):
-        share = dominance_share(2283.72, DiffusionParams(D=1.0, kappa=0.5))
-        assert share == pytest.approx(0.9896, abs=5e-5)
 
 
 def k2(weight: float = 1.0) -> WeightedNetwork:
@@ -347,66 +312,3 @@ class TestTemporalDecayRate:
         with pytest.raises(DimensionMismatch, match=f"source {source} outside"):
             fit_temporal_decay(laplacian_spectrum(k4), DiffusionParams(), source=source)
 
-
-class TestCascade:
-    def test_shock_below_threshold(self):
-        net = k2(10.0)
-        assert cascade(net, CascadeConfig(source=0, s0=0.5, theta=0.5)) == 0
-
-    def test_k2_two_iterations_hand_trace(self):
-        # sweep 1: node 0 (1 > 0.5) joins, transfers 10*1 to node 1;
-        # sweep 2: node 1 (10 > 0.5) joins -> size 2
-        net = k2(10.0)
-        assert cascade(net, CascadeConfig(source=0, s0=1.0, theta=0.5, kappa=0.0)) == 2
-
-    def test_isolated_source(self):
-        W = np.zeros((3, 3))
-        W[1, 2] = W[2, 1] = 1.0
-        net = WeightedNetwork(("iso", "b", "c"), W)
-        assert cascade(net, CascadeConfig(source=0, s0=2.0, theta=0.5)) == 1
-
-    def test_decay_dampens_propagation(self):
-        net = k2(0.6)
-        full = cascade(net, CascadeConfig(source=0, s0=1.0, theta=0.5, kappa=0.0))
-        damped = cascade(net, CascadeConfig(source=0, s0=1.0, theta=0.5, kappa=0.5))
-        assert full == 2 and damped == 1
-
-    def test_deterministic(self):
-        net = random_connected_network(77, 20)
-        cfg = CascadeConfig(source=3, s0=2.0, theta=0.4, kappa=0.1)
-        assert cascade(net, cfg) == cascade(net, cfg)
-
-    def test_monotone_on_uniform_weight_ensemble(self):
-        # monotonicity holds on homogeneous-weight cascades; heterogeneous
-        # weights admit counterexamples (see test below and decisions ledger)
-        rng = np.random.default_rng(505)
-        for _ in range(60):
-            n = int(rng.integers(4, 15))
-            W = (rng.random((n, n)) < 0.4).astype(float)
-            W = np.triu(W, 1)
-            W = W + W.T
-            net = WeightedNetwork(tuple(f"b{i}" for i in range(n)), W)
-            src = int(rng.integers(0, n))
-            theta = float(rng.uniform(0.2, 2.0))
-            sizes = [cascade(net, CascadeConfig(src, s0, theta, 0.0))
-                     for s0 in (0.2, 0.6, 1.2, 2.4)]
-            assert sizes == sorted(sizes)
-            s0 = float(rng.uniform(0.5, 3.0))
-            sizes_t = [cascade(net, CascadeConfig(src, s0, th, 0.0))
-                       for th in (0.2, 0.6, 1.2, 2.4)]
-            assert sizes_t == sorted(sizes_t, reverse=True)
-
-    def test_known_heterogeneous_theta_counterexample(self):
-        # freeze-at-entry semantics (needed for convergence on cycles) let a
-        # node that joins later transfer a larger frozen value, so strict
-        # theta-monotonicity can fail with heterogeneous weights: A-B strong,
-        # A-C weak, B-C strong, C-D medium
-        W = np.zeros((4, 4))
-        W[0, 1] = W[1, 0] = 1.0
-        W[0, 2] = W[2, 0] = 0.5
-        W[1, 2] = W[2, 1] = 1.0
-        W[2, 3] = W[3, 2] = 0.8
-        net = WeightedNetwork(("A", "B", "C", "D"), W)
-        low = cascade(net, CascadeConfig(source=0, s0=1.0, theta=0.45, kappa=0.0))
-        high = cascade(net, CascadeConfig(source=0, s0=1.0, theta=0.60, kappa=0.0))
-        assert low == 3 and high == 4  # documented non-monotone instance

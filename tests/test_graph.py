@@ -10,8 +10,6 @@ from contagion_lab.graph import (
     WeightedNetwork,
     _betweenness,
     build_network,
-    degree_sequence,
-    fiedler_partition,
     gini_coefficient,
     hhi,
     laplacian_spectrum,
@@ -162,31 +160,24 @@ class TestLaplacianSpectrum:
 
 
 class TestFiedlerPartition:
+    """The sign split of the Fiedler vector: its orientation and its support."""
+
     def test_path_middle_node_on_positive_side(self):
         # hand eigenvector for lambda2=1 is (1, 0, -1)/sqrt(2)
-        s = laplacian_spectrum(path3())
-        pos, neg = fiedler_partition(s)
-        # the middle node's entry is 0 and joins the positive side
-        assert pos == {"n1", "n2"} and neg == {"n3"}
-
-    def test_k2_splits_one_each(self):
-        W = np.array([[0.0, 2.0], [2.0, 0.0]])
-        s = laplacian_spectrum(WeightedNetwork(("a", "b"), W))
-        pos, neg = fiedler_partition(s)
-        assert len(pos) == 1 and len(neg) == 1
-
-    def test_k4_degenerate_any_sign_consistent_split(self, k4):
-        pos, neg = fiedler_partition(laplacian_spectrum(k4))
-        assert pos | neg == set(k4.bank_ids)
-        assert pos and neg
+        v = laplacian_spectrum(path3()).fiedler_vector
+        assert np.allclose(v, np.array([1.0, 0.0, -1.0]) / math.sqrt(2), atol=1e-10)
+        # the middle node's entry is 0 and the first nonzero entry is positive
+        assert v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0
 
     def test_off_component_nodes_in_neither_set(self):
         W = np.zeros((4, 4))
         W[0, 1] = W[1, 0] = 1.0
         W[0, 2] = W[2, 0] = 1.0
         net = WeightedNetwork(("a", "b", "c", "d"), W)
-        pos, neg = fiedler_partition(laplacian_spectrum(net))
-        assert "d" not in pos | neg
+        s = laplacian_spectrum(net)
+        assert not s.component_mask[3]
+        assert s.fiedler_vector[3] == 0.0
+        assert np.all(s.fiedler_vector[~s.component_mask] == 0.0)
 
 
 class TestEigenvalueExport:
@@ -199,20 +190,6 @@ class TestEigenvalueExport:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values)
         assert len(values) == 4
-
-
-class TestDegreeSequence:
-    def test_k3_weighted_and_unweighted(self):
-        net = complete_network(3)
-        assert degree_sequence(net, weighted=True).tolist() == [2.0, 2.0, 2.0]
-        assert degree_sequence(net, weighted=False).tolist() == [2.0, 2.0, 2.0]
-
-    def test_star_with_heavier_center(self):
-        W = np.zeros((4, 4))
-        for leaf in (1, 2, 3):
-            W[0, leaf] = W[leaf, 0] = 2.0
-        net = WeightedNetwork(("c", "l1", "l2", "l3"), W)
-        assert degree_sequence(net).tolist() == [6.0, 2.0, 2.0, 2.0]
 
 
 def star_network(n: int, w: float = 1.0) -> WeightedNetwork:

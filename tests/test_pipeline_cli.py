@@ -633,6 +633,10 @@ class TestCliCommands:
         (("--d-coeff", "nan"), "diffusion_D must be finite and > 0, got nan"),
         (("--d-coeff", "0"), "diffusion_D must be finite and > 0, got 0.0"),
         (("--kappa", "-1"), "diffusion_kappa must be finite and >= 0, got -1.0"),
+        (("--epsilon", "nan"), "min_edge_threshold must be >= 0, got nan"),
+        (("--rho", "nan"), "rho must be in (0, 1), got nan"),
+        (("--method", "fitness", "--fitness-alpha", "inf"),
+         "fitness_alpha must be > 0 and finite, got inf"),
     ])
     def test_invalid_flags_exit_2(self, tmp_path, flags, message):
         panel = tmp_path / "panel.csv"

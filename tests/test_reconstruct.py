@@ -11,7 +11,6 @@ from contagion_lab.errors import (
 )
 from contagion_lab.graph import build_network, laplacian_spectrum
 from contagion_lab.reconstruct import (
-    IPF_RTOL,
     MARGINAL_RTOL,
     ExposureMatrix,
     FixedRatio,
@@ -183,8 +182,8 @@ class TestMaxEntropy:
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(em.X[off], np.outer(p, q)[off])
         scale = max(A.max(), L.max())
-        assert np.abs(em.X.sum(axis=1) - A).max() <= 2 * IPF_RTOL * scale
-        assert np.abs(em.X.sum(axis=0) - L).max() <= 2 * IPF_RTOL * scale
+        assert np.abs(em.X.sum(axis=1) - A).max() <= 2e-12 * scale
+        assert np.abs(em.X.sum(axis=0) - L).max() <= 2e-12 * scale
         # Both aim at the same X*, but RAS stops at its own residual, and the
         # factor solve at its rounding. Each is X* - E to first order, E its
         # first_order_correction, hence |X - X_ras| is at most |E| + |E_ras|
@@ -230,7 +229,7 @@ class TestMaxEntropy:
         with pytest.raises(InfeasibleMarginals):
             max_entropy([10.0, 1.0, 1.0], [10.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("share, rtol", [(0.4999, 2 * IPF_RTOL),
+    @pytest.mark.parametrize("share, rtol", [(0.4999, 2e-12),
                                              (0.499999, MARGINAL_RTOL),
                                              (0.4999999999, MARGINAL_RTOL)])
     @pytest.mark.parametrize("n", [3, 10, 70])
@@ -331,6 +330,15 @@ class TestFitnessModel:
         assets = rng.uniform(1, 9, 8)
         em = fitness_model(assets, alpha=1.3, total_interbank=100.0)
         assert np.allclose(em.X, em.X.T)
+
+    def test_large_alpha_does_not_overflow(self):
+        # 3e4 ** 300 overflows a float; the weights, from logs, do not
+        assets = np.array([1e4, 2e4, 3e4])
+        em = fitness_model(assets, alpha=300.0, total_interbank=6.0)
+        log_w = 300.0 * (np.log(assets)[:, None] + np.log(assets)[None, :])
+        np.fill_diagonal(log_w, -np.inf)
+        w = np.exp(log_w - log_w.max())
+        assert np.allclose(em.X, 6.0 * w / w.sum(), rtol=1e-9, atol=0.0)
 
 
 def support_feasible(support, A, L):

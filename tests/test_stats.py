@@ -329,27 +329,6 @@ class TestDidRegress:
         assert "treated_post2021" in res.degenerate_terms
         assert to_json(res)["degenerate_terms"] == list(res.degenerate_terms)  # a tuple
 
-    def test_heterogeneity_triple_interaction(self):
-        # built-in extra shift of -0.5 for core treated banks post-2021
-        banks = ["t_core", "t_oth", "c_core", "c_oth"]
-        core = {"t_core": 1.0, "t_oth": 0.0, "c_core": 1.0, "c_oth": 0.0}
-        tr = simple_treatment({"t_core", "t_oth"}, banks)
-        obs = []
-        for b in banks:
-            for y in (2018, 2021):
-                val = 1.0
-                if y == 2021:
-                    val += 0.3  # common year effect
-                    if tr.treated[b]:
-                        val += -0.2
-                        if core[b]:
-                            val += -0.5
-                obs.append((b, y, val))
-        res = did_regress(obs, tr, interactions=["core"],
-                          covariates={b: {"core": core[b]} for b in banks})
-        assert res.coefficients["treated_post2021"] == pytest.approx(-0.2, abs=1e-9)
-        assert res.coefficients["treated_post2021_x_core"] == pytest.approx(-0.5, abs=1e-9)
-
     def test_single_arm_rejected(self):
         obs = [("a", 2018, 1.0), ("a", 2021, 2.0), ("b", 2018, 1.0), ("b", 2021, 2.0)]
         tr = simple_treatment(set(), ["a", "b"])

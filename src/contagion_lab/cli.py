@@ -142,15 +142,30 @@ def cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
-def _read_two_groups(path: str, group_col: str, value_col: str):
+def _cell_number(row: dict, column: str, row_no: int) -> float:
+    """The cell of ``column`` in a headered row; MalformedRow naming the row
+    (the header is row 1, blank lines are no rows) if it is missing or not a
+    finite number."""
+    cell = row[column]
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        what = "no cell" if cell is None else f"{cell!r} is not a finite number"
+        raise MalformedRow(f"row {row_no}: {what} in column {column!r}")
+    return value
+
+
+def _read_two_groups(path: str, group_col: str, value_col: str, delimiter: str):
     groups: dict[str, list[float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None or group_col not in reader.fieldnames \
                 or value_col not in reader.fieldnames:
             raise MissingColumn(f"need columns {group_col!r} and {value_col!r}")
-        for row in reader:
-            groups.setdefault(row[group_col], []).append(float(row[value_col]))
+        for row_no, row in enumerate(reader, start=2):
+            groups.setdefault(row[group_col], []).append(_cell_number(row, value_col, row_no))
     if len(groups) != 2:
         raise ContagionLabError(f"expected exactly 2 groups, got {sorted(groups)}")
     (ga, va), (gb, vb) = sorted(groups.items())
@@ -160,7 +175,8 @@ def _read_two_groups(path: str, group_col: str, value_col: str):
 def cmd_permute(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
-    ga, va, gb, vb = _read_two_groups(cfg.input_path, args.group_column, args.value_column)
+    ga, va, gb, vb = _read_two_groups(cfg.input_path, args.group_column, args.value_column,
+                                      cfg.delimiter)
     p = permutation_test(va, vb, n_perm=args.n_perm, seed=cfg.seed)
     t_obs = float(np.mean(va) - np.mean(vb))
     results = {"group_a": ga, "group_b": gb, "n_a": len(va), "n_b": len(vb),
@@ -175,7 +191,7 @@ def cmd_placebo(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
-        exposures = exposure_from_csv_text(fh.read())
+        exposures = exposure_from_csv_text(fh.read(), delimiter=cfg.delimiter)
     net = build_network(exposures, cfg.method.min_edge_threshold)
     result = placebo_null(net, n_draws=args.n_draws, seed=cfg.seed)
     table = render_table(
@@ -203,9 +219,9 @@ def cmd_did(args) -> int:
             reader = csv.DictReader(fh, delimiter=cfg.delimiter)
             if reader.fieldnames is None or args.outcome_column not in reader.fieldnames:
                 raise MissingColumn(f"outcome column {args.outcome_column!r} not found")
-            for row in reader:
+            for row_no, row in enumerate(reader, start=2):
                 key = (row["bank_id"].strip(), int(row["year"]))
-                val = float(row[args.outcome_column])
+                val = _cell_number(row, args.outcome_column, row_no)
                 outcomes[key] = math.log(val) if args.log else val
     result, treatment = pipeline.did_from_panel(
         panel, base_year=cfg.did.base_year, quantile=cfg.did.quantile,
@@ -238,11 +254,11 @@ def cmd_fit(args) -> int:
     ensure_writable(cfg.output_dir)
     values: list[float] = []
     with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, delimiter=cfg.delimiter)
         header = reader.fieldnames or []
         if args.column in header:
-            for row in reader:
-                values.append(float(row[args.column]))
+            for row_no, row in enumerate(reader, start=2):
+                values.append(_cell_number(row, args.column, row_no))
         elif header and not _is_number(header[0]):
             raise MissingColumn(f"column {args.column!r} not found in the header")
         else:  # no header: one number per line, blank lines skipped
@@ -305,6 +321,8 @@ def _fixed_ratio(text: str) -> FixedRatio:
         return FixedRatio(float(text))
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # from float(); ConfigError, caught above, is a ValueError too
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:

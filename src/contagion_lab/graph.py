@@ -419,29 +419,38 @@ def weighted_degree_assortativity(net: WeightedNetwork) -> tuple[float, bool]:
     return float(np.corrcoef(x, y)[0, 1]), True
 
 
+def _settle(b: np.ndarray, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """y = b + the sum of y[src] over the edges src -> dst of an acyclic list,
+    by passes (one per hop) until a pass changes nothing."""
+    y, prev = b, None
+    while not np.array_equal(y, prev):
+        y, prev = b + np.bincount(dst, y[src], minlength=b.size), y
+    return y
+
+
 def _betweenness(net: WeightedNetwork) -> np.ndarray:
     """Normalized betweenness with edge lengths 1/w (Brandes 2001).
 
-    Distances come from Dijkstra. For each source s the tight edges u -> v,
-    |d[s,u] + 1/w_uv - d[s,v]| <= TIE_RTOL * d[s,v], form the shortest-path
-    DAG; in distance order its adjacency A is strictly upper triangular, so
-    the path counts solve (I - A^T) sigma = e_s and the dependencies
-    delta = sigma * x - 1 with (I - A) x = 1 / sigma. Pairs in different
-    components contribute nothing; the sum over sources is divided by
-    (n - 1)(n - 2), as networkx normalizes undirected graphs.
+    Distances come from Floyd-Warshall (Floyd 1962) on the dense matrix of
+    lengths, inf where there is no edge. For each source s the tight edges
+    u -> v, |d[s,u] + 1/w_uv - d[s,v]| <= TIE_RTOL * d[s,v], form the
+    shortest-path DAG. Propagated along its edge list, the path counts are
+    sigma = e_s + sum_{u -> v} sigma[u] and the dependencies
+    delta = sigma * x - 1 with x = 1 / sigma + sum_{u -> v} x[v]. Pairs in
+    different components contribute nothing; the sum over sources is divided
+    by (n - 1)(n - 2), as networkx normalizes undirected graphs.
     """
-    # scipy is imported here so that only topology pays for loading it
-    import scipy.sparse as sp
-    from scipy.linalg import solve_triangular
-    from scipy.sparse.csgraph import dijkstra
-
     n = net.n
     bc = np.zeros(n)
     if n <= 2:
         return bc
     iu, ju = np.nonzero(net.W)  # both orientations of every edge
     length = 1.0 / net.W[iu, ju]
-    dist = dijkstra(sp.csr_matrix((length, (iu, ju)), shape=(n, n)))
+    dist = np.full((n, n), np.inf)
+    dist[iu, ju] = length
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     pos = np.empty(n, dtype=np.intp)
     for s in range(n):
         d = dist[s]
@@ -452,12 +461,9 @@ def _betweenness(net: WeightedNetwork) -> np.ndarray:
         e = reach[iu]
         u, v, le = iu[e], ju[e], length[e]
         tight = (pos[u] < pos[v]) & (np.abs(d[u] + le - d[v]) <= TIE_RTOL * d[v])
-        M = np.zeros((r, r))  # I - A; the unit diagonal is implied
-        M[pos[u[tight]], pos[v[tight]]] = -1.0
-        e_s = np.zeros(r)
-        e_s[0] = 1.0
-        sigma = solve_triangular(M, e_s, trans="T", unit_diagonal=True)
-        x = solve_triangular(M, 1.0 / sigma, unit_diagonal=True)
+        pu, pv = pos[u[tight]], pos[v[tight]]
+        sigma = _settle(np.eye(1, r)[0], pv, pu)
+        x = _settle(1.0 / sigma, pu, pv)
         bc[order[1:]] += sigma[1:] * x[1:] - 1.0
     return bc / ((n - 1) * (n - 2))
 

@@ -99,6 +99,8 @@ class RunConfig:
                 raise ConfigError("ratio sweep needs at least 1 step")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         # written as "not ok" so that NaN, which fails every comparison, is rejected
         if not 0.0 < self.diffusion_D < math.inf:
             raise ConfigError(f"diffusion_D must be finite and > 0, got {self.diffusion_D!r}")

@@ -230,8 +230,9 @@ def _sum_of_others(v: np.ndarray) -> np.ndarray:
     return before + after
 
 
-def exposure_from_csv_text(text: str) -> ExposureMatrix:
-    """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`.
+def exposure_from_csv_text(text: str, delimiter: str = ",") -> ExposureMatrix:
+    """Parse the dense CSV layout written by :meth:`ExposureMatrix.to_csv_text`,
+    its cells separated by ``delimiter``.
 
     Blank lines are skipped, as the panel reader skips them, and rows are
     numbered without them. Each row is labelled with the header's bank id at
@@ -241,7 +242,7 @@ def exposure_from_csv_text(text: str) -> ExposureMatrix:
     missing row raise MalformedRow. Marginal targets are taken as the
     realized row/column sums.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
     if not rows:
         raise MalformedRow("empty exposure CSV: no header row")
     ids = tuple(rows[0][1:])

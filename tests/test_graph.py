@@ -17,7 +17,8 @@ from contagion_lab.graph import (
     weighted_degree_assortativity,
 )
 from contagion_lab.pipeline import to_json
-from contagion_lab.reconstruct import ExposureMatrix, max_entropy
+from contagion_lab.reconstruct import (ExposureMatrix, ReconstructionConfig, max_entropy,
+                                       reconstruct_exposures)
 
 
 def exposures_from(X):
@@ -370,6 +371,24 @@ class TestBetweennessOracle:
                      + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]),
     ], ids=["K6", "K5-w3", "star7", "cycle6", "grid4x4"])
     def test_tie_heavy_graphs(self, net):
+        np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
+                                   rtol=0, atol=1e-12)
+
+    def test_weighted_chain_48(self):
+        # on a path each source's shortest-path DAG is up to 47 hops deep, and
+        # the path counts and dependencies take one propagation pass per hop
+        w = np.random.default_rng(48).lognormal(3.0, 0.8, 47)
+        W = np.diag(w, 1)
+        net = WeightedNetwork(tuple(f"b{i}" for i in range(48)), W + W.T)
+        np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
+                                   rtol=0, atol=1e-12)
+
+    def test_min_density_network_70(self):
+        # the CLI's sparsest reconstruction: about two edges per bank, many hops
+        assets = np.random.default_rng(70).lognormal(11.0, 1.0, 70)
+        cfg = ReconstructionConfig(method="min_density")
+        net = build_network(reconstruct_exposures(assets, cfg), cfg.min_edge_threshold)
+        assert np.count_nonzero(net.W) < 0.1 * 70 * 69
         np.testing.assert_allclose(_betweenness(net), networkx_betweenness(net),
                                    rtol=0, atol=1e-12)
 

@@ -448,6 +448,58 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "permute.json").read_text())
         assert payload["results"]["p_value"] < 0.05
 
+    @pytest.mark.parametrize("command", ["permute", "fit", "placebo"])
+    def test_delimiter_flag(self, tmp_path, command):
+        rng = np.random.default_rng(8)
+        if command == "permute":
+            text = "group,value\n" + "".join(f"{g},{float(v)!r}\n" for g in "xy"
+                                             for v in rng.normal(0.0, 1.0, 6))
+        elif command == "fit":
+            text = "value,bank\n" + "".join(f"{float(v)!r},b{i}\n" for i, v in
+                                            enumerate(rng.lognormal(2.0, 0.7, 300)))
+        else:
+            from contagion_lab.reconstruct import max_entropy
+            text = max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0]).to_csv_text()
+        results = []
+        for name, delimiter in (("comma", ","), ("semicolon", ";")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text.replace(",", delimiter))
+            out = tmp_path / name
+            assert cli.main([command, "--input", str(path), "--delimiter", delimiter,
+                             "--output-dir", str(out)]) == 0
+            results.append(json.loads((out / f"{command}.json").read_text())["results"])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("permute", "group,value\nx,1\nx,2\n\nx,\ny,4\ny,5\n",
+         "row 4: '' is not a finite number in column 'value'"),
+        ("permute", "group,value\nx,1\nx,2\nx,3\ny,4\ny\n",
+         "row 6: no cell in column 'value'"),
+        ("fit", "bank,value\na,1.5\nb,2.5\nc,n/a\n",
+         "row 4: 'n/a' is not a finite number in column 'value'"),
+        ("fit", "bank,value\na,1.5\nb\nc,2.5\n", "row 3: no cell in column 'value'"),
+        ("permute", "group,value\nx,1\nx,nan\nx,3\ny,4\ny,5\n",
+         "row 3: 'nan' is not a finite number in column 'value'"),
+        ("fit", "value\n1.5\n2.5\ninf\n",
+         "row 4: 'inf' is not a finite number in column 'value'"),
+    ], ids=["permute-not-a-number", "permute-missing", "fit-not-a-number", "fit-missing",
+            "permute-nan", "fit-inf"])
+    def test_headered_value_errors_name_the_row(self, tmp_path, capsys, command, text,
+                                                message):
+        path = tmp_path / "values.csv"
+        path.write_text(text)
+        assert cli.main([command, "--input", str(path), "--output-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / f"{command}.json").exists()
+
+    def test_did_outcome_errors_name_the_row(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("bank_id,year,total_assets,profit\n"
+                        "ctl,2018,1,3\nctl,2021,2\ntrt,2018,3,4\ntrt,2021,5,6\n")
+        assert cli.main(["did", "--input", str(path), "--base-year", "2018",
+                         "--outcome-column", "profit", "--output-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "error: row 3: no cell in column 'profit'\n"
+
     def test_placebo_command(self, tmp_path):
         from contagion_lab.reconstruct import max_entropy
         em = max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0])
@@ -637,6 +689,8 @@ class TestCliCommands:
         (("--rho", "nan"), "rho must be in (0, 1), got nan"),
         (("--method", "fitness", "--fitness-alpha", "inf"),
          "fitness_alpha must be > 0 and finite, got inf"),
+        (("--rho", "abc"), "argument --rho: expected a number in (0, 1), got 'abc'"),
+        (("--delimiter", ";;"), "delimiter must be one character, got ';;'"),
     ])
     def test_invalid_flags_exit_2(self, tmp_path, flags, message):
         panel = tmp_path / "panel.csv"
@@ -644,6 +698,7 @@ class TestCliCommands:
         r = run_cli("analyze", "--input", str(panel), "--output-dir", str(tmp_path), *flags)
         assert r.returncode == 2
         assert message in r.stderr.splitlines()[-1]
+        assert "_fixed_ratio" not in r.stderr  # argparse names the type function otherwise
         assert not (tmp_path / "analyze.json").exists()
 
     def test_synth_repeated_year_rejected_before_writing(self, tmp_path):
@@ -832,6 +887,22 @@ def test_fit_runs_without_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "fit.json").read_text())["results"]["n_tail"] >= 10
+
+
+def test_analyze_runs_without_scipy(tmp_path):
+    # betweenness runs on numpy alone; with None in sys.modules every scipy import fails
+    panel = tmp_path / "panel.csv"
+    panel.write_text(synth_panel_csv(30, [2018, 2021], seed=4, log_sigma=0.8))
+    common = f"'--input', {str(panel)!r}, '--output-dir', {str(tmp_path)!r}"
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom contagion_lab import cli\n"
+            f"assert cli.main(['analyze', {common}]) == 0\n"
+            f"assert cli.main(['analyze', {common}, '--epsilon', '30']) == 0\n"
+            f"print({SCIPY_OR_NETWORKX})")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "['scipy']"  # the blocking entry alone
+    years = json.loads((tmp_path / "analyze.json").read_text())["results"]["years"]
+    assert [y["year"] for y in years] == [2018, 2021]
 
 
 def test_bootstrap_and_sweep_run_without_scipy(tmp_path):

@@ -222,6 +222,9 @@ def cmd_did(args) -> int:
             for row_no, row in enumerate(reader, start=2):
                 key = (row["bank_id"].strip(), int(row["year"]))
                 val = _cell_number(row, args.outcome_column, row_no)
+                if args.log and val <= 0:
+                    raise MalformedRow(f"row {row_no}: {row[args.outcome_column]!r} in column "
+                                       f"{args.outcome_column!r} is not > 0, which --log needs")
                 outcomes[key] = math.log(val) if args.log else val
     result, treatment = pipeline.did_from_panel(
         panel, base_year=cfg.did.base_year, quantile=cfg.did.quantile,

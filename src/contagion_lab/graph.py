@@ -7,18 +7,16 @@ connected component, and comes from one of two paths:
 * ``laplacian_spectrum``, the dense path: one ``eigvalsh`` on the largest
   component and one on the block of the other nodes, which gives the
   whole spectrum. Every network can take it.
-* ``threshold_lambda2``: lambda2 alone of a max-entropy network whose
-  factors are equal (p == q == u, as equal row and column targets give),
-  from ``u`` and the threshold alone, with no n x n array. Its weights
-  w_ij = 2 fl(u_i u_j) make it a threshold graph, complete or thresholded;
-  monotone rounding makes each bank's edges a prefix of the banks sorted
-  by u, so the degrees come from a bisection per bank and need no mask,
-  and an elimination that creates no fill counts eigenvalues in O(n) per
-  trial value.
+* ``threshold_lambda2``: lambda2 alone of a max-entropy network with
+  factor u (x_ij = u_i u_j), from ``u`` and the threshold alone, with no
+  n x n array. Its weights w_ij = 2 fl(u_i u_j) make it a threshold
+  graph, complete or thresholded; monotone rounding makes each bank's
+  edges a prefix of the banks sorted by u, so the degrees come from a
+  bisection per bank and need no mask, and an elimination that creates
+  no fill counts eigenvalues in O(n) per trial value.
 
-``pipeline.network_lambda2`` picks the path: the count needs equal
-max-entropy factors and at least one edge; every other network takes the
-dense path.
+``pipeline.network_lambda2`` picks the path: the count needs a max-entropy
+factor and at least one edge; every other network takes the dense path.
 """
 
 from __future__ import annotations
@@ -272,7 +270,7 @@ def _ranked_degrees(u: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def threshold_lambda2(u: np.ndarray, epsilon: float) -> float | None:
-    """lambda2 of the max-entropy network with factors p == q == u, or None.
+    """lambda2 of the max-entropy network with factor u, or None.
 
     This is the network ``build_network`` makes of x_ij = u_i u_j with
     threshold ``epsilon``, counted from ``u`` alone: no n x n array is

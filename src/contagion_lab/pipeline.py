@@ -210,16 +210,16 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep equal max-entropy factors p == q, lambda2 comes
-    from ``threshold_lambda2`` on p and the threshold, whether or not the
+    When the exposures keep a max-entropy factor u, lambda2 comes from
+    ``threshold_lambda2`` on u and the threshold, whether or not the
     threshold removed edges: the exposures' dense ``X`` is never built, and
     the degrees are those of ``build_network``'s mask by construction.
     Every other network, and one with no edge left, gets ``build_network``
     and ``laplacian_spectrum``, with their errors.
     """
     exposures = reconstruct_exposures(assets, method)
-    if exposures.factors is not None and np.array_equal(*exposures.factors):
-        lam = threshold_lambda2(exposures.factors[0], method.min_edge_threshold)
+    if exposures.factor is not None:
+        lam = threshold_lambda2(exposures.factor, method.min_edge_threshold)
         if lam is not None:
             return lam
     return laplacian_spectrum(build_network(exposures, method.min_edge_threshold)).lambda2

@@ -3,7 +3,7 @@
 Four schemes are provided:
 
 * maximum entropy with zero-diagonal correction, the baseline, whose
-  factors solve one scalar equation;
+  factor solves one scalar equation;
 * kernel-density weighting (non-parametric, preserves only the total);
 * a fitness model with scores proportional to assets^alpha;
 * a sparse greedy transport heuristic minimizing edge count.
@@ -50,14 +50,25 @@ class RatioRule:
         raise NotImplementedError
 
 
+# each check is written as "not ok" so that NaN, which fails every comparison,
+# is rejected too
+def _check_ratio(name: str, rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), got {rho!r}")
+
+
+def _check_quantile(name: str, q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {q!r}")
+
+
 @dataclass(frozen=True)
 class FixedRatio(RatioRule):
     kind = "fixed"
     rho: float = DEFAULT_RHO
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must be in (0, 1), got {self.rho!r}")
+        _check_ratio("rho", self.rho)
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         return np.full(len(assets), self.rho, dtype=float)
@@ -71,6 +82,11 @@ class SizeThresholdRatio(RatioRule):
     rho_large: float = 0.03
     rho_small: float = 0.07
     size_quantile: float = 0.75
+
+    def __post_init__(self):
+        _check_ratio("rho_large", self.rho_large)
+        _check_ratio("rho_small", self.rho_small)
+        _check_quantile("size_quantile", self.size_quantile)
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         cutoff = np.quantile(assets, self.size_quantile)
@@ -100,6 +116,13 @@ class TieredRatio(RatioRule):
 
     kind = "tiered"
     tiers: tuple[tuple[float, float], ...] = ((0.9, 0.02), (0.5, 0.05), (0.0, 0.08))
+
+    def __post_init__(self):
+        if not self.tiers:
+            raise ConfigError("tiers must hold at least one (quantile, rho) pair")
+        for i, (q, rho) in enumerate(self.tiers):
+            _check_quantile(f"tiers[{i}] quantile", q)
+            _check_ratio(f"tiers[{i}] rho", rho)
 
     def ratios(self, assets: np.ndarray) -> np.ndarray:
         ordered = sorted(self.tiers, reverse=True)
@@ -142,38 +165,31 @@ class ReconstructionConfig:
 
 @dataclass(frozen=True, init=False)
 class ExposureMatrix:
-    """Non-negative bilateral exposure estimate with marginal metadata.
+    """Non-negative bilateral exposure estimate with its marginal targets.
 
-    ``marginals_fitted`` is False for methods that intentionally do not
-    reproduce the per-bank targets (KDE weighting).
-    ``factors`` is the pair (p, q) with x_ij = p_i q_j off the diagonal
-    (max-entropy off the feasibility boundary; p == q when the row and
-    column targets are equal), otherwise None. A matrix given its factors
-    and no ``X`` keeps only the factors. It is checked in O(n): the factors
-    are finite and non-negative, and its marginals p_i (sum q - q_i) and
-    q_j (sum p - p_j) meet the targets. Its dense ``X``, ``np.outer(p, q)``
-    with a zero diagonal, is built on first read. A matrix given ``X`` is
-    checked on ``X`` itself.
+    ``targets`` is the vector A that both the row and the column sums meet,
+    within ``MARGINAL_RTOL * max(A)``, or None for a method that fits no
+    per-bank targets (KDE, fitness, loaded exposures).
+    ``factor`` is u with x_ij = u_i u_j off the diagonal (max-entropy off
+    the feasibility boundary), otherwise None. A matrix given its factor
+    and no ``X`` keeps only the factor. It is checked in O(n): the factor
+    is finite and non-negative, and its marginals u_i (sum u - u_i) meet
+    the targets. Its dense ``X``, ``np.outer(u, u)`` with a zero diagonal,
+    is built on first read. A matrix given ``X`` is checked on ``X`` itself.
     """
 
     bank_ids: tuple[str, ...]
-    row_targets: np.ndarray
-    col_targets: np.ndarray
+    targets: np.ndarray | None
     method: str
-    marginals_fitted: bool
     flags: tuple[str, ...]
-    factors: tuple[np.ndarray, np.ndarray] | None = field(repr=False, compare=False)
+    factor: np.ndarray | None = field(repr=False, compare=False)
 
     def __init__(self, bank_ids: tuple[str, ...], X: np.ndarray | None,
-                 row_targets: np.ndarray, col_targets: np.ndarray,
-                 method: str = "max_entropy", marginals_fitted: bool = True,
-                 flags: tuple[str, ...] = (),
-                 factors: tuple[np.ndarray, np.ndarray] | None = None):
+                 targets: np.ndarray | None = None, method: str = "max_entropy",
+                 flags: tuple[str, ...] = (), factor: np.ndarray | None = None):
         n = len(bank_ids)
-        if factors is not None and any(np.shape(v) != (n,) for v in factors):
-            raise ValueError(f"factors must be two vectors of length {n}")
-        row_targets = np.asarray(row_targets, dtype=float)
-        col_targets = np.asarray(col_targets, dtype=float)
+        if factor is not None and np.shape(factor) != (n,):
+            raise ValueError(f"factor must be a vector of length {n}")
         if X is not None:
             X = np.asarray(X, dtype=float)
             if X.shape != (n, n):
@@ -184,34 +200,29 @@ class ExposureMatrix:
                 raise ValueError("diagonal exposures must be zero")
             rows, cols = X.sum(axis=1), X.sum(axis=0)
             self.__dict__["X"] = X  # the cached value of the ``X`` property
-        elif factors is not None:
-            p, q = factors
-            if not all(np.all((0.0 <= v) & (v < np.inf)) for v in factors):
-                raise ValueError("factors must be finite and non-negative")
-            rows, cols = p * _sum_of_others(q), q * _sum_of_others(p)
+        elif factor is not None:
+            if not np.all((0.0 <= factor) & (factor < np.inf)):
+                raise ValueError("factor must be finite and non-negative")
+            rows = cols = factor * _sum_of_others(factor)
         else:
-            raise ValueError("an exposure matrix needs X or its factors")
-        if marginals_fitted:
-            scale = max(float(row_targets.max(initial=0.0)), 1e-300)
-            err = max(np.abs(rows - row_targets).max(), np.abs(cols - col_targets).max())
+            raise ValueError("an exposure matrix needs X or its factor")
+        if targets is not None:
+            targets = np.asarray(targets, dtype=float)
+            scale = max(float(targets.max(initial=0.0)), 1e-300)
+            err = max(np.abs(rows - targets).max(), np.abs(cols - targets).max())
             if err > MARGINAL_RTOL * scale:
                 raise ValueError(
                     f"marginals off by {err:.3e} (> {MARGINAL_RTOL:.0e} * max target)"
                 )
-        self.__dict__.update(bank_ids=bank_ids, row_targets=row_targets,
-                             col_targets=col_targets, method=method,
-                             marginals_fitted=marginals_fitted, flags=flags, factors=factors)
+        self.__dict__.update(bank_ids=bank_ids, targets=targets, method=method,
+                             flags=flags, factor=factor)
 
     @cached_property
     def X(self) -> np.ndarray:
-        """The dense n x n exposures, built from the factors on first read."""
-        X = np.outer(*self.factors)
+        """The dense n x n exposures, built from the factor on first read."""
+        X = np.outer(self.factor, self.factor)
         np.fill_diagonal(X, 0.0)
         return X
-
-    @property
-    def n(self) -> int:
-        return len(self.bank_ids)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -239,8 +250,7 @@ def exposure_from_csv_text(text: str, delimiter: str = ",") -> ExposureMatrix:
     its position and has the header's number of cells, all numbers after the
     label; an empty text, a header with no bank id, a repeated id, a row out
     of that order, a ragged row, a cell that is not a number, and an extra or
-    missing row raise MalformedRow. Marginal targets are taken as the
-    realized row/column sums.
+    missing row raise MalformedRow. The matrix has no marginal targets.
     """
     rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
     if not rows:
@@ -270,8 +280,7 @@ def exposure_from_csv_text(text: str, delimiter: str = ",") -> ExposureMatrix:
     if len(rows) <= n:
         raise MalformedRow(f"row {len(rows) + 1}: missing, no row for bank id "
                            f"{ids[len(rows) - 1]!r}")
-    return ExposureMatrix(bank_ids=ids, X=X, row_targets=X.sum(axis=1),
-                          col_targets=X.sum(axis=0), method="loaded")
+    return ExposureMatrix(bank_ids=ids, X=X, method="loaded")
 
 
 def _default_ids(n: int) -> tuple[str, ...]:
@@ -281,12 +290,12 @@ def _default_ids(n: int) -> tuple[str, ...]:
 # --- operations ---------------------------------------------------------------
 
 def interbank_aggregates(assets: Sequence[float] | np.ndarray,
-                         rule: RatioRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bank interbank assets A_i = rho_i * T_i, with liabilities L = A.
+                         rule: RatioRule) -> np.ndarray:
+    """Per-bank interbank assets A_i = rho_i * T_i, and liabilities too.
 
-    Positions are balanced by assumption, so the same vector is returned
-    twice (as separate arrays). Raises InvalidRatio if the rule produces
-    any rho outside (0, 1).
+    Positions are balanced by assumption, so A is both the row and the
+    column target of a reconstruction. Raises InvalidRatio if the rule
+    produces any rho outside (0, 1).
     """
     T = np.asarray(assets, dtype=float)
     if np.any(T <= 0) or not np.all(np.isfinite(T)):
@@ -294,58 +303,51 @@ def interbank_aggregates(assets: Sequence[float] | np.ndarray,
     rho = rule.ratios(T)
     outside = ~((0.0 < rho) & (rho < 1.0))  # NaN is outside too
     if outside.any():
-        raise InvalidRatio(f"ratio {rho[outside][0]!r} outside (0, 1)")
-    A = rho * T
-    return A, A.copy()
+        raise InvalidRatio(f"ratio {float(rho[outside][0])!r} outside (0, 1)")
+    return rho * T
 
 
-def _max_entropy_factors(A: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (p, q) of x_ij = p_i q_j (i != j) with row sums A and column sums L.
+def _max_entropy_factor(A: np.ndarray) -> np.ndarray:
+    """Factor u of x_ij = u_i u_j (i != j) with row and column sums A.
 
-    Row i sums to p_i (sum q - q_i) and column j to q_j (sum p - p_j). Scaled
-    so that sum p = sum q = S, the pair has S (p_i - q_i) = A_i - L_i, so in
-    t = S^2 each x_i = S p_i is a root of
+    Row i sums to u_i (sum u - u_i). Scaled so that sum u = S, in t = S^2
+    each x_i = S u_i is a root of
 
-        x^2 - (t + d_i) x + A_i t = 0,    d = A - L,
+        x^2 - t x + A_i t = 0,
 
-    and y_i = S q_i of the same quadratic in -d_i and L_i. Both share the
-    discriminant (t - reach_i^2)(t - gap_i^2), reach and gap being
-    sqrt A_i +- sqrt L_i, which is non-negative from t0 = max reach^2 up.
+    whose discriminant (t - 4 A_i) t is non-negative from t0 = 4 max A up.
     Every bank takes the small root, but the bank binding at t0 takes the
     large one when the small roots at t0 sum to less than t0 (a bank near
     half the total). The fitness equations (Squartini & Garlaschelli 2011)
     are then one scalar equation, sum x(t) = t, solved by Newton steps kept
-    inside a bracket that shrinks each step, from max(sum A, t0). A = L
-    gives p == q bit for bit. Returns (p, q).
+    inside a bracket that shrinks each step, from max(sum A, t0).
     """
-    # reach^2 and gap^2; for A = L they are exactly 4A and 0, so t - reach^2
-    # loses nothing near t0, where the binding bank's x is steep in t
-    both, cross = A + L, 2.0 * np.sqrt(A * L)
-    reach2, gap2 = both + cross, both - cross
+    # 4A is exact, so t - reach2 loses nothing near t0, where the binding
+    # bank's x is steep in t
+    reach2 = 4.0 * A
     k = int(np.argmax(reach2))
     t0, total = float(reach2[k]), float(A.sum())
-    d = A - L
 
-    def small_roots(a: np.ndarray, shift: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Small roots of x^2 - (t + shift) x + a t = 0, and the square roots
-        of their discriminants."""
-        root = np.sqrt((t - reach2) * (t - gap2))
-        return a * (2.0 * t) / (t + shift + root), root
+    def small_roots(t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Small roots of x^2 - t x + A t = 0, and the square roots of their
+        discriminants."""
+        root = np.sqrt((t - reach2) * t)
+        return A * (2.0 * t) / (t + root), root
 
     # each small root is at least A_i, so with t0 <= sum A they sum to at least
     # t at t = sum A, and the small-root equation has its root above there
-    large = t0 > total and small_roots(A, d, t0)[0].sum() < t0
+    large = t0 > total and small_roots(t0)[0].sum() < t0
     lo, hi, t = t0, math.inf, max(total, t0)
     # dx/dt is infinite at t0, where the binding bank's two roots meet
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            x, root = small_roots(A, d, t)
+            x, root = small_roots(t)
             dx = (A - x) / root
             if large:
-                # the large root is t + d_k - x_k; the t-sized terms of
+                # the large root is t - x_k; the t-sized terms of
                 # sum x - t cancel, so they are left out
                 x[k], dx[k] = -x[k], -dx[k]
-                h, slope = x.sum() + d[k], dx.sum()
+                h, slope = x.sum(), dx.sum()
             else:
                 h, slope = x.sum() - t, dx.sum() - 1.0
             if (h > 0) != large:  # the root lies above t
@@ -360,61 +362,54 @@ def _max_entropy_factors(A: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.n
                 if not lo < step < hi:
                     break
             t = step
-    y = small_roots(L, -d, t)[0]
     if large or dx[k] < -1.0:
         # The binding bank's root moves faster than t, so the rounding of t
         # would move it more than the rounding of a sum does: close
-        # sum x = sum y = t on it instead, which its nearly flat quadratic
-        # barely notices. The large root is taken this way too.
-        x[k] = y[k] = 0.0
-        x[k], y[k] = t - x.sum(), t - y.sum()
-    S = math.sqrt(t)
-    return x / S, y / S
+        # sum x = t on it instead, which its nearly flat quadratic barely
+        # notices. The large root is taken this way too.
+        x[k] = 0.0
+        x[k] = t - x.sum()
+    return x / math.sqrt(t)
 
 
-def max_entropy(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray,
-                bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
-    """Entropy-maximizing exposures x_ij = A_i L_j / sum(A), diagonal corrected.
-
-    The closed form has a positive diagonal. Zeroing it and restoring both
-    marginals keeps the product form x_ij = p_i q_j off the diagonal, with
-    the factors from one scalar equation (``_max_entropy_factors``); the
-    result keeps only ``factors=(p, q)``, and p == q when A == L, until its
-    ``X`` is read. The forced solution on the feasibility boundary has no
-    factors and is built dense.
-    """
-    A = np.asarray(A, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if A.shape != L.shape:
-        raise ValueError("A and L must have equal length")
-    if np.any(A < 0) or np.any(L < 0):
-        raise ValueError("A and L must be non-negative")
-    total = A.sum()
-    if total <= 0:
-        raise ZeroTotal("sum of interbank assets is zero")
-    if not math.isclose(total, float(L.sum()), rel_tol=1e-9):
-        raise ValueError("sum(A) must equal sum(L)")
-    if np.any(A + L > total * (1 + 1e-12)):
+def _check_feasible(A: np.ndarray, total: float) -> None:
+    if np.any(2.0 * A > total * (1 + 1e-12)):
         raise InfeasibleMarginals(
             "a bank's combined positions exceed the system total; no "
             "zero-diagonal matrix can satisfy these marginals"
         )
-    # Feasibility boundary (A_i + L_i == total): the solution is forced --
-    # every other bank routes exclusively through bank i -- and its factors
-    # would be zero or infinite, so construct it directly.
-    boundary = np.flatnonzero(A + L >= total * (1 - 1e-12))
+
+
+def max_entropy(A: Sequence[float] | np.ndarray,
+                bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
+    """Entropy-maximizing exposures x_ij = A_i A_j / sum(A), diagonal corrected.
+
+    The closed form has a positive diagonal. Zeroing it and restoring the
+    marginals A keeps the product form x_ij = u_i u_j off the diagonal,
+    with the factor from one scalar equation (``_max_entropy_factor``); the
+    result keeps only ``factor=u`` until its ``X`` is read. The forced
+    solution on the feasibility boundary has no factor and is built dense.
+    """
+    A = np.asarray(A, dtype=float)
+    if np.any(A < 0):
+        raise ValueError("A must be non-negative")
+    total = A.sum()
+    if total <= 0:
+        raise ZeroTotal("sum of interbank assets is zero")
+    _check_feasible(A, total)
+    # On the feasibility boundary (2 A_i == total) every other bank routes through
+    # bank i alone; the factor would be zero or infinite, so X is built directly.
+    boundary = np.flatnonzero(2.0 * A >= total * (1 - 1e-12))
     if len(boundary):
         i = int(boundary[0])
-        X = np.zeros_like(np.outer(A, L))
-        X[i, :] = L
-        X[:, i] = A
+        X = np.zeros((len(A), len(A)))
+        X[i, :] = X[:, i] = A
         X[i, i] = 0.0
-        factors = None
+        factor = None
     else:
-        X, factors = None, _max_entropy_factors(A, L)
+        X, factor = None, _max_entropy_factor(A)
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(A))
-    return ExposureMatrix(bank_ids=ids, X=X, row_targets=A, col_targets=L,
-                          method="max_entropy", factors=factors)
+    return ExposureMatrix(bank_ids=ids, X=X, targets=A, method="max_entropy", factor=factor)
 
 
 def silverman_bandwidth(assets: np.ndarray) -> float:
@@ -432,7 +427,7 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
     A Gaussian kernel density with Silverman bandwidth is evaluated at each
     bank's asset level; off-diagonal weights f(A_i)*f(A_j) are rescaled so
     the matrix total equals ``total_interbank`` exactly. Per-bank marginals
-    are intentionally not matched (``marginals_fitted=False``).
+    are intentionally not matched (``targets`` is None).
 
     If the Silverman bandwidth degenerates (IQR = 0), falls back to
     0.9*sigma*n^(-1/5); if sigma is zero too, falls back to uniform weights
@@ -470,9 +465,7 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
     X = W * (total_interbank / denom)
     np.fill_diagonal(X, 0.0)
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(n)
-    return ExposureMatrix(bank_ids=ids, X=X, row_targets=X.sum(axis=1),
-                          col_targets=X.sum(axis=0), method="kde",
-                          marginals_fitted=False, flags=tuple(flags))
+    return ExposureMatrix(bank_ids=ids, X=X, method="kde", flags=tuple(flags))
 
 
 def fitness_model(assets: Sequence[float] | np.ndarray, alpha: float,
@@ -496,11 +489,10 @@ def fitness_model(assets: Sequence[float] | np.ndarray, alpha: float,
     np.fill_diagonal(W, 0.0)
     X = W * (total_interbank / W.sum())
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(T))
-    return ExposureMatrix(bank_ids=ids, X=X, row_targets=X.sum(axis=1),
-                          col_targets=X.sum(axis=0), method="fitness")
+    return ExposureMatrix(bank_ids=ids, X=X, method="fitness")
 
 
-def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray,
+def min_density(A: Sequence[float] | np.ndarray,
                 bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
     """Sparse feasible exposures via greedy largest-residual pairing.
 
@@ -509,24 +501,16 @@ def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     transfers as much as possible. The transfer is capped so no third
     bank's combined residual exceeds the remaining total, which keeps the
     zero-diagonal problem feasible (r_i + c_i <= total for all i) to the
-    end. Produces at most 2n-1 edges.
+    end. Rows and columns both sum to A. Produces at most 2n-1 edges.
     """
     A = np.asarray(A, dtype=float)
-    L = np.asarray(L, dtype=float)
     total = A.sum()
     if total <= 0:
         raise ZeroTotal("sum of interbank assets is zero")
-    if not math.isclose(total, float(L.sum()), rel_tol=1e-9):
-        raise ValueError("sum(A) must equal sum(L)")
+    _check_feasible(A, total)
     n = len(A)
-    if np.any(A + L > total * (1 + 1e-12)):
-        raise InfeasibleMarginals(
-            "a bank's combined positions exceed the system total; no "
-            "zero-diagonal matrix can satisfy these marginals"
-        )
     X = np.zeros((n, n))
-    r = A.astype(float).copy()
-    c = L.astype(float).copy()
+    r, c = A.copy(), A.copy()
     tol = GREEDY_RTOL * max(float(A.max(initial=0.0)), 1e-300)
     all_idx = np.arange(n)
     for _ in range(6 * n + 10):
@@ -555,8 +539,7 @@ def min_density(A: Sequence[float] | np.ndarray, L: Sequence[float] | np.ndarray
     else:
         raise InfeasibleMarginals("greedy pairing did not terminate")
     ids = tuple(bank_ids) if bank_ids is not None else _default_ids(n)
-    return ExposureMatrix(bank_ids=ids, X=X, row_targets=A, col_targets=L,
-                          method="min_density")
+    return ExposureMatrix(bank_ids=ids, X=X, targets=A, method="min_density")
 
 
 def reconstruct_exposures(assets: Sequence[float] | np.ndarray,
@@ -564,17 +547,17 @@ def reconstruct_exposures(assets: Sequence[float] | np.ndarray,
                           bank_ids: Sequence[str] | None = None) -> ExposureMatrix:
     """Dispatch one reconstruction per the configuration.
 
-    The aggregate vectors always come from the ratio rule; KDE and fitness
-    use only their grand total.
+    The aggregate vector always comes from the ratio rule; KDE and fitness
+    use only its grand total.
     """
-    A, L = interbank_aggregates(assets, cfg.ratio_rule)
+    A = interbank_aggregates(assets, cfg.ratio_rule)
     if cfg.method == "max_entropy":
-        return max_entropy(A, L, bank_ids)
+        return max_entropy(A, bank_ids)
     if cfg.method == "kde":
         return kde_weights(assets, float(A.sum()), bank_ids)
     if cfg.method == "fitness":
         return fitness_model(assets, cfg.fitness_alpha, float(A.sum()), bank_ids)
     if cfg.method == "min_density":
-        return min_density(A, L, bank_ids)
+        return min_density(A, bank_ids)
     raise ValueError(f"unknown method {cfg.method!r}")
 

@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import (
     CollinearDesign,
+    InfeasibleMarginals,
     InsufficientData,
     NonPositiveSample,
+    SingletonGraph,
     TooFewClusters,
     TooFewPoints,
     ZeroVariance,
@@ -39,8 +41,9 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 class BootstrapResult:
     """Point estimate with percentile CI over bootstrap replicates.
 
-    CI bounds are order statistics of the replicate vector. ``bootstrap_lambda2``
-    keeps every replicate, so B_effective equals B and n_degenerate is 0.
+    CI bounds are order statistics of ``replicates``, the B_effective kept
+    replicates in draw order; the other n_degenerate = B - B_effective were
+    skipped (see ``bootstrap_lambda2``).
     """
 
     point: float
@@ -51,7 +54,7 @@ class BootstrapResult:
     seed: int
     B: int
     B_effective: int
-    n_degenerate: int = 0
+    n_degenerate: int
 
 
 def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
@@ -62,10 +65,13 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
 
     Each replicate draws n banks with replacement, re-runs the configured
     reconstruction and network, and records lambda2 (``network_lambda2``). The
-    percentile interval at ``level`` is read off the sorted replicates.
-    The point estimate needs strictly positive assets, so every resample
-    has a positive total; a replicate whose reconstruction or spectrum
-    fails aborts the run, and ``n_degenerate`` is always 0.
+    percentile interval at ``level`` is read off the sorted kept replicates.
+    A resample can have no network where the sample has one: a bank drawn
+    once may hold more than half of a smaller total (InfeasibleMarginals),
+    or the threshold may leave no edge (SingletonGraph). Such a replicate
+    is skipped and counted in ``n_degenerate``, and InsufficientData is
+    raised when none is kept. Any other error, and any of the point
+    estimate, aborts the run.
     """
     assets = np.asarray(assets, dtype=float)
     n = len(assets)
@@ -78,19 +84,26 @@ def bootstrap_lambda2(assets: Sequence[float] | np.ndarray,
 
     point = network_lambda2(assets, cfg)
 
-    def one(b: int) -> float:
+    def one(b: int) -> float | None:
         rng = _replicate_rng(seed, b)
         idx = rng.integers(0, n, size=n)
-        return network_lambda2(assets[idx], cfg)
+        try:
+            return network_lambda2(assets[idx], cfg)
+        except (InfeasibleMarginals, SingletonGraph):
+            return None
 
-    replicates = np.array(map_in_order(one, range(B), workers))
+    drawn = map_in_order(one, range(B), workers)
+    replicates = np.array([lam for lam in drawn if lam is not None])
+    if len(replicates) == 0:
+        raise InsufficientData(f"all {B} bootstrap replicates were skipped: each resample "
+                               "was infeasible or left no edge")
 
     alpha = (1.0 - level) / 2.0
     ci_low = float(np.quantile(replicates, alpha, method="lower"))
     ci_high = float(np.quantile(replicates, 1.0 - alpha, method="higher"))
     return BootstrapResult(point=point, replicates=replicates, ci_low=ci_low,
                            ci_high=ci_high, level=level, seed=seed, B=B,
-                           B_effective=B)
+                           B_effective=len(replicates), n_degenerate=B - len(replicates))
 
 
 # --- permutation test ---------------------------------------------------------

@@ -179,10 +179,10 @@ def test_criterion_06_reconstruction_marginals():
         n = int(rng.integers(10, 71))
         A = rng.uniform(1.0, 100.0, n)
         scale = A.max()
-        em = max_entropy(A, A.copy())
+        em = max_entropy(A)
         assert np.abs(em.X.sum(axis=1) - A).max() <= 1e-9 * scale
         assert np.abs(em.X.sum(axis=0) - A).max() <= 1e-9 * scale
-        md = min_density(A, A.copy())
+        md = min_density(A)
         assert int((md.X > 0).sum()) <= 2 * n - 1
         assert np.abs(md.X.sum(axis=1) - A).max() <= 1e-9 * scale
         assert np.abs(md.X.sum(axis=0) - A).max() <= 1e-9 * scale

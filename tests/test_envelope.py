@@ -48,7 +48,7 @@ def write_inputs(d: Path, n: int = 12, seed: int = 1, log_sigma: float = 0.5) ->
     paths["panel"].write_text(synth_panel_csv(n, [2018, 2021], seed=seed, log_sigma=log_sigma,
                                               treated_shrink=0.1))
     A = rng.uniform(100.0, 200.0, 6)  # no bank near half the total: feasible
-    paths["exposures"].write_text(max_entropy(A, A.copy()).to_csv_text())
+    paths["exposures"].write_text(max_entropy(A).to_csv_text())
     paths["fit"].write_text("value\n" + "".join(f"{v}\n" for v in rng.lognormal(0, 1, 60)))
     paths["groups"].write_text("group,value\n" + "".join(
         f"{g},{v}\n" for g, vals in (("a", rng.normal(0, 1, 5)), ("b", rng.normal(1, 1, 6)))

@@ -1,13 +1,13 @@
-"""lambda2 of max-entropy networks from their factors.
+"""lambda2 of max-entropy networks from their factor.
 
 ``network_lambda2`` counts eigenvalues with ``threshold_lambda2`` when the
-exposures keep equal factors, whether the threshold left the network
+exposures keep a max-entropy factor, whether the threshold left the network
 complete or removed edges, and runs ``build_network`` and
-``laplacian_spectrum`` otherwise (unequal factors, as A != L gives) or when
-fewer than 2 banks keep an edge. Dense ``eigvalsh`` of the network's
-Laplacian (of its largest component) is the oracle, and the mask of
-``build_network`` the oracle of the degrees; eigensolver counters guard
-which path a run takes, and ``tracemalloc`` that it builds no n x n array.
+``laplacian_spectrum`` otherwise (no factor) or when fewer than 2 banks keep
+an edge. Dense ``eigvalsh`` of the network's Laplacian (of its largest
+component) is the oracle, and the mask of ``build_network`` the oracle of
+the degrees; eigensolver counters guard which path a run takes, and
+``tracemalloc`` that it builds no n x n array.
 """
 
 import json
@@ -29,12 +29,7 @@ from contagion_lab.graph import (
 )
 from contagion_lab.ingest import BankPanel
 from contagion_lab.pipeline import RunConfig, network_lambda2, sweep_ratios, synth_panel
-from contagion_lab.reconstruct import (
-    ExposureMatrix,
-    ReconstructionConfig,
-    max_entropy,
-    reconstruct_exposures,
-)
+from contagion_lab.reconstruct import ReconstructionConfig, reconstruct_exposures
 from contagion_lab.stats import _replicate_rng, bootstrap_lambda2, leave_one_out_lambda2
 
 COMPLETE = ReconstructionConfig(min_edge_threshold=0.0)
@@ -70,10 +65,8 @@ def maxent_network(assets, method=COMPLETE):
 
 
 def count_lambda2(exposures, epsilon=0.0):
-    """``threshold_lambda2`` on the equal factors of ``exposures``."""
-    p, q = exposures.factors
-    assert np.array_equal(p, q)
-    return threshold_lambda2(p, epsilon)
+    """``threshold_lambda2`` on the factor of ``exposures``."""
+    return threshold_lambda2(exposures.factor, epsilon)
 
 
 @pytest.fixture
@@ -97,7 +90,7 @@ class TestAgainstDenseEigvalsh:
     def test_matches_eigvalsh_of_the_laplacian(self, assets):
         with np.errstate(all="raise"):
             exposures, net = maxent_network(assets)
-            assert exposures.factors is not None
+            assert exposures.factor is not None
             assert np.count_nonzero(net.W) == net.n * (net.n - 1)
             got = network_lambda2(assets, COMPLETE)
             assert count_lambda2(exposures) == got
@@ -230,7 +223,7 @@ class TestThresholdedAgainstDenseEigvalsh:
         want = np.linalg.eigvalsh(np.diag(W.sum(axis=1)) - W)[1]
         assert threshold_lambda2(u, 8.4) == pytest.approx(want, rel=1e-13)
 
-    def test_declines_what_it_cannot_count(self, monkeypatch, eigvalsh_calls):
+    def test_declines_what_it_cannot_count(self):
         u = np.array([4.0, 3.0, 2.0, 1.0])
         # the weights 2 u_i u_j above 9 are 0-1, 0-2 and 1-2
         assert _ranked_degrees(u, 9.0).tolist() == [2, 2, 2, 0]
@@ -238,15 +231,6 @@ class TestThresholdedAgainstDenseEigvalsh:
         # no edge left (the largest weight is 24), or a single bank
         assert threshold_lambda2(u, 24.0) is None
         assert threshold_lambda2(u[:1], 0.0) is None
-        # a complete network whose factors differ (A != L) is not counted
-        exposures = max_entropy([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0])
-        assert not np.array_equal(*exposures.factors)
-        net = build_network(exposures)
-        assert np.count_nonzero(net.W) == 4 * 3
-        monkeypatch.setattr(pipeline, "reconstruct_exposures", lambda assets, method: exposures)
-        got = network_lambda2(u, COMPLETE)
-        assert eigvalsh_calls == [4]
-        assert got == laplacian_spectrum(net).lambda2
 
 
 @st.composite
@@ -261,7 +245,7 @@ def degree_cases(draw):
     if draw(st.booleans()):
         assets = assets[rng.integers(0, draw(st.integers(1, n)), n)]
     exposures, net = maxent_network(assets)
-    u = exposures.factors[0]
+    u = exposures.factor
     w = np.unique(net.W[net.W > 0])
     where = draw(st.sampled_from(["zero", "on", "between", "top", "above"]))
     if where == "on":
@@ -284,7 +268,7 @@ class TestDegreesFromFactors:
     @settings(max_examples=200, deadline=None)
     def test_degrees_equal_the_mask_of_build_network(self, case):
         assets, exposures, epsilon = case
-        u = exposures.factors[0]
+        u = exposures.factor
         order = np.argsort(-u, kind="stable")
         net = build_network(exposures, epsilon)
         want = (net.W > 0).sum(axis=1)
@@ -299,24 +283,6 @@ class TestDegreesFromFactors:
             return
         got = network_lambda2(assets, method)
         assert abs(got - dense) <= 1e-12 * dense
-
-    def test_unequal_factors_take_the_dense_path(self, monkeypatch, eigvalsh_calls):
-        # q is p with one entry one ulp larger: the weights p_i q_j + q_i p_j
-        # are no longer 2 fl(p_i p_j) in that row and column
-        assets = np.random.default_rng(5).lognormal(11.0, 1.0, 50)
-        em = reconstruct_exposures(assets, COMPLETE)
-        p = em.factors[0]
-        q = p.copy()
-        q[7] = np.nextafter(q[7], np.inf)
-        unequal = ExposureMatrix(em.bank_ids, None, em.row_targets, em.col_targets,
-                                 factors=(p, q))
-        monkeypatch.setattr(pipeline, "reconstruct_exposures", lambda assets, method: unequal)
-        method = ReconstructionConfig(min_edge_threshold=threshold_between(
-            build_network(em), 0.5))
-        got = network_lambda2(assets, method)
-        net = build_network(unequal, method.min_edge_threshold)
-        assert sum(eigvalsh_calls) == 50  # the dense path's blocks
-        assert got == laplacian_spectrum(net).lambda2
 
     def test_no_edge_raises_what_the_dense_path_raises(self, eigvalsh_calls):
         assets = np.random.default_rng(5).lognormal(11.0, 1.0, 50)
@@ -358,8 +324,8 @@ class TestNoDenseArray:
         (exposures,) = made
         assert "X" not in vars(exposures)  # ``X`` caches itself there on first read
         assert eigvalsh_calls == []
-        p, q = exposures.factors
-        want = np.outer(p, q)
+        u = exposures.factor
+        want = np.outer(u, u)
         np.fill_diagonal(want, 0.0)
         assert np.array_equal(exposures.X, want)
         net = build_network(exposures, self.METHOD.min_edge_threshold)

@@ -459,7 +459,7 @@ class TestCliCommands:
                                             enumerate(rng.lognormal(2.0, 0.7, 300)))
         else:
             from contagion_lab.reconstruct import max_entropy
-            text = max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0]).to_csv_text()
+            text = max_entropy([2.0, 3.0, 4.0, 5.0]).to_csv_text()
         results = []
         for name, delimiter in (("comma", ","), ("semicolon", ";")):
             path = tmp_path / f"{name}.csv"
@@ -500,9 +500,22 @@ class TestCliCommands:
                          "--outcome-column", "profit", "--output-dir", str(tmp_path)]) == 4
         assert capsys.readouterr().err == "error: row 3: no cell in column 'profit'\n"
 
+    @pytest.mark.parametrize("cell", ["0", "-2.5"])
+    def test_did_log_outcome_names_the_row_of_a_cell_not_above_0(self, tmp_path, capsys,
+                                                                 cell):
+        path = tmp_path / "panel.csv"
+        path.write_text("bank_id,year,total_assets,profit\n"
+                        f"ctl,2018,1,3\nctl,2021,2,1\ntrt,2018,3,{cell}\ntrt,2021,5,6\n")
+        args = ["did", "--input", str(path), "--base-year", "2018",
+                "--outcome-column", "profit", "--output-dir", str(tmp_path)]
+        assert cli.main(args) == 4
+        assert capsys.readouterr().err == (f"error: row 4: {cell!r} in column 'profit' "
+                                           "is not > 0, which --log needs\n")
+        assert cli.main([*args, "--no-log"]) == 0  # the level itself is fine
+
     def test_placebo_command(self, tmp_path):
         from contagion_lab.reconstruct import max_entropy
-        em = max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0])
+        em = max_entropy([2.0, 3.0, 4.0, 5.0])
         path = tmp_path / "exposures.csv"
         path.write_text(em.to_csv_text())
         r = run_cli("placebo", "--input", str(path), "--epsilon", "0",
@@ -574,16 +587,19 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "analyze.json").read_text())
         assert payload["results"]["years"][0]["lambda2"] > 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a resample that puts the bank above half its total raises "
-                              "InfeasibleMarginals, and a failed replicate aborts bootstrap")
     def test_bootstrap_with_a_bank_near_half_the_total(self, tmp_path):
+        # a resample that draws the large bank once and smaller banks than the
+        # sample's is infeasible: that replicate is skipped, not the run
         path, assets = self.near_half_panel(tmp_path)
         from contagion_lab.pipeline import network_lambda2
         assert network_lambda2(assets, ReconstructionConfig()) > 0  # the point estimate
         r = run_cli("bootstrap", "-B", "10", "--input", str(path),
                     "--output-dir", str(tmp_path))
         assert r.returncode == 0, r.stderr
+        results = json.loads((tmp_path / "bootstrap.json").read_text())["results"]
+        assert results["n_degenerate"] > 0
+        assert results["B_effective"] == 10 - results["n_degenerate"]
+        assert len(results["replicates"]) == results["B_effective"]
 
     def test_bootstrap_with_no_edge_left_fails_on_the_dense_path(self, tmp_path):
         # equal factors and an epsilon above every weight: lambda2 falls back
@@ -761,7 +777,7 @@ class TestCliCommands:
 
         inputs = {
             "permute": "group,value\nx,1.0\nx,2.0\ny,11.0\ny,12.0\n",
-            "placebo": max_entropy([2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 4.0, 5.0]).to_csv_text(),
+            "placebo": max_entropy([2.0, 3.0, 4.0, 5.0]).to_csv_text(),
             "bootstrap": synth_panel_csv(6, [2018], seed=2, log_sigma=0.5),
         }
         args = [command, "--output-dir", str(tmp_path / "out"), *flags]
@@ -781,6 +797,18 @@ class TestCliCommands:
         ('{"d_star_epsilon": 1e400}', "error: d_star_epsilon must be in (0, 1), got inf\n"),
         ('{"diffusion_kappa": -0.1}',
          "error: diffusion_kappa must be finite and >= 0, got -0.1\n"),
+        ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_large": 1.5}}}',
+         "error: rho_large must be in (0, 1), got 1.5\n"),
+        ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_small": 0}}}',
+         "error: rho_small must be in (0, 1), got 0.0\n"),
+        ('{"method": {"ratio_rule": {"kind": "size_threshold", "size_quantile": 1.5}}}',
+         "error: size_quantile must be in [0, 1], got 1.5\n"),
+        ('{"method": {"ratio_rule": {"kind": "tiered", "tiers": [[0.9, 0.02], [0.0, 1.2]]}}}',
+         "error: tiers[1] rho must be in (0, 1), got 1.2\n"),
+        ('{"method": {"ratio_rule": {"kind": "tiered", "tiers": [[-0.1, 0.05]]}}}',
+         "error: tiers[0] quantile must be in [0, 1], got -0.1\n"),
+        ('{"method": {"ratio_rule": {"kind": "tiered", "tiers": []}}}',
+         "error: tiers must hold at least one (quantile, rho) pair\n"),
     ])
     def test_malformed_config_file_exit_2_one_line(self, tmp_path, text, message):
         panel = tmp_path / "panel.csv"

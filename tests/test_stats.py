@@ -6,20 +6,24 @@ import pytest
 
 from conftest import complete_network, random_connected_network
 from oracles import did_within_coefficients
+from contagion_lab import stats
 from contagion_lab.errors import (
     CollinearDesign,
+    InfeasibleMarginals,
     InsufficientData,
     NonPositiveSample,
+    SingletonGraph,
     TooFewClusters,
     TooFewPoints,
     ZeroVariance,
 )
 from contagion_lab.graph import WeightedNetwork, laplacian_spectrum
 from contagion_lab.ingest import TreatmentAssignment
-from contagion_lab.pipeline import network_spectrum, to_json
+from contagion_lab.pipeline import network_lambda2, network_spectrum, to_json
 from contagion_lab.reconstruct import FixedRatio, ReconstructionConfig
 from contagion_lab.stats import (
     _norm_cdf,
+    _replicate_rng,
     bootstrap_lambda2,
     did_regress,
     fit_distributions,
@@ -81,6 +85,43 @@ class TestBootstrap:
             bootstrap_lambda2([1.0, 2.0], MAXENT, B=20)
         with pytest.raises(InsufficientData):
             bootstrap_lambda2([1.0, 2.0, 3.0, 4.0], MAXENT, B=5)
+
+    def test_degenerate_replicates_are_skipped(self):
+        # one bank holds 49.99% of the total: a resample that draws it once,
+        # with smaller banks than the sample's, is infeasible and is skipped
+        others = np.random.default_rng(7).lognormal(11.0, 1.0, 69)
+        assets = np.array([others.sum() * 0.4999 / 0.5001, *others])
+        res = bootstrap_lambda2(assets, MAXENT, B=40, seed=0)
+        kept = []
+        for b in range(40):
+            try:
+                kept.append(network_lambda2(
+                    assets[_replicate_rng(0, b).integers(0, 70, size=70)], MAXENT))
+            except InfeasibleMarginals:
+                pass
+        assert 0 < res.n_degenerate == 40 - len(kept)
+        assert res.B_effective == len(kept)
+        assert np.array_equal(res.replicates, kept)
+        assert res.ci_low == np.quantile(kept, 0.025, method="lower")
+        assert res.ci_high == np.quantile(kept, 0.975, method="higher")
+
+    @pytest.mark.parametrize("error", [InfeasibleMarginals, SingletonGraph])
+    def test_every_replicate_skipped_raises(self, monkeypatch, error):
+        point, calls = stats.network_lambda2, []
+
+        def only_the_point(assets, cfg):  # the first call is the point estimate
+            calls.append(len(assets))
+            if len(calls) > 1:
+                raise error("no network")
+            return point(assets, cfg)
+
+        monkeypatch.setattr(stats, "network_lambda2", only_the_point)
+        assets = np.random.default_rng(8).lognormal(10, 1, 20)
+        with pytest.raises(InsufficientData) as exc:
+            bootstrap_lambda2(assets, MAXENT, B=20, seed=4)
+        assert str(exc.value) == ("all 20 bootstrap replicates were skipped: each resample "
+                                  "was infeasible or left no edge")
+        assert len(calls) == 21
 
 
 class TestPermutationTest:

@@ -7,7 +7,7 @@ connected component, and comes from one of two paths:
 * ``laplacian_spectrum``, the dense path: one ``eigvalsh`` on the largest
   component and one on the block of the other nodes, which gives the
   whole spectrum. Every network can take it.
-* ``threshold_lambda2``: lambda2 alone of a max-entropy network with
+* ``threshold_lambda2``: lambda2 alone of a product-form network with
   factor u (x_ij = u_i u_j), from ``u`` and the threshold alone, with no
   n x n array. Its weights w_ij = 2 fl(u_i u_j) make it a threshold
   graph, complete or thresholded; monotone rounding makes each bank's
@@ -15,8 +15,8 @@ connected component, and comes from one of two paths:
   bisection per bank and need no mask, and an elimination that creates
   no fill counts eigenvalues in O(n) per trial value.
 
-``pipeline.network_lambda2`` picks the path: the count needs a max-entropy
-factor and at least one edge; every other network takes the dense path.
+``pipeline.network_lambda2`` picks the path: the count needs a factor and
+at least one edge; every other network takes the dense path.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .reconstruct import ExposureMatrix
 
 #: Two shortest-path lengths within TIE_RTOL of each other (relative) tie.
 TIE_RTOL = 1e-12
+#: ``threshold_lambda2`` declines a network whose largest u exceeds
+#: COUNT_SKEW_MAX times the sum of its neighbours' u.
+COUNT_SKEW_MAX = 1024.0
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def _ranked_degrees(u: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def threshold_lambda2(u: np.ndarray, epsilon: float) -> float | None:
-    """lambda2 of the max-entropy network with factor u, or None.
+    """lambda2 of the product-form network with factor u, or None.
 
     This is the network ``build_network`` makes of x_ij = u_i u_j with
     threshold ``epsilon``, counted from ``u`` alone: no n x n array is
@@ -285,7 +288,11 @@ def threshold_lambda2(u: np.ndarray, epsilon: float) -> float | None:
     ``build_network`` thresholds, so the degrees are those of its mask,
     after subtracting each bank that falls inside its own prefix. None is
     returned when no edge is left; the caller then takes the dense path,
-    which raises SingletonGraph.
+    which raises SingletonGraph. It is returned too when the top bank's u
+    exceeds COUNT_SKEW_MAX times its neighbours' sum (fitness at a large
+    alpha): the 2 u^2 that the elimination below adds to its degree then
+    swamps it, and the count's error grows to about that ratio times the
+    dense path's n eps lambda_n.
 
     Nested neighbourhoods leave no fill when banks are eliminated in
     increasing-u order. The banks with edges form the largest component: a
@@ -309,7 +316,7 @@ def threshold_lambda2(u: np.ndarray, epsilon: float) -> float | None:
     u = u[np.argsort(-u, kind="stable")]
     d = _ranked_degrees(u, epsilon)
     m = int(np.count_nonzero(d))  # nesting puts the banks without edges last
-    if m < 2:
+    if m < 2 or u[0] > COUNT_SKEW_MAX * u[1:d[0] + 1].sum():
         return None
     u, d = u[:m], d[:m]
     prefix = np.concatenate([[0.0], np.cumsum(u)])  # prefix[t] = sum of the top t u

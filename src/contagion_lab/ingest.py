@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,15 +24,6 @@ from .errors import (
     YearAbsent,
 )
 
-#: Canonical column names; values can be remapped via a schema dict.
-DEFAULT_SCHEMA = {
-    "bank_id": "bank_id",
-    "year": "year",
-    "total_assets": "total_assets",
-    "country": "country",
-    "name": "name",
-}
-
 REQUIRED_COLUMNS = ("bank_id", "year", "total_assets")
 
 
@@ -43,8 +34,6 @@ class BankRecord:
     bank_id: str
     year: int
     total_assets: float
-    country: str | None = None
-    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -119,64 +108,48 @@ def _parse_assets(raw: str | None, row_no: int) -> float:
     return value
 
 
-def _open_source(source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    return source  # already a text stream
-
-
-def load_panel(source, schema: Mapping[str, str] | None = None,
-               delimiter: str = ",") -> BankPanel:
+def load_panel(source, delimiter: str = ",") -> BankPanel:
     """Load a validated BankPanel from delimited UTF-8 text.
 
-    ``source`` may be a path, a byte/text stream, or raw bytes. ``schema``
-    remaps canonical column names (bank_id, year, total_assets, country,
-    name) to the actual header names. Rows with missing or invalid
-    total_assets raise MalformedRow naming the offending row; repeated
-    (bank_id, year) pairs raise DuplicateKey. Row order is preserved.
+    ``source`` may be a path, which is opened and closed here, a byte or
+    text stream, or raw bytes. The header must name the columns bank_id,
+    year and total_assets; other columns are ignored. Rows with missing or
+    invalid total_assets raise MalformedRow naming the offending row;
+    repeated (bank_id, year) pairs raise DuplicateKey. Row order is
+    preserved.
     """
-    colmap = dict(DEFAULT_SCHEMA)
-    if schema:
-        colmap.update(schema)
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return load_panel(fh, delimiter)
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode("utf-8"))
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
-    stream = _open_source(source)
-    reader = csv.DictReader(stream, delimiter=delimiter)
+    reader = csv.DictReader(source, delimiter=delimiter)
     if reader.fieldnames is None:
         raise MissingColumn("input has no header row")
-    header = set(reader.fieldnames)
-    for canon in REQUIRED_COLUMNS:
-        if colmap[canon] not in header:
-            raise MissingColumn(f"missing required column {colmap[canon]!r}")
-    has_country = colmap["country"] in header
-    has_name = colmap["name"] in header
+    for col in REQUIRED_COLUMNS:
+        if col not in reader.fieldnames:
+            raise MissingColumn(f"missing required column {col!r}")
 
     records: list[BankRecord] = []
     seen: set[tuple[str, int]] = set()
     for row_no, row in enumerate(reader, start=2):  # header is row 1
-        bank_id = (row.get(colmap["bank_id"]) or "").strip()
+        bank_id = (row.get("bank_id") or "").strip()
         if not bank_id:
             raise MalformedRow(f"row {row_no}: empty bank_id")
-        raw_year = (row.get(colmap["year"]) or "").strip()
+        raw_year = (row.get("year") or "").strip()
         try:
             year = int(raw_year)
         except ValueError:
             raise MalformedRow(f"row {row_no}: unparseable year {raw_year!r}") from None
-        assets = _parse_assets(row.get(colmap["total_assets"]), row_no)
+        assets = _parse_assets(row.get("total_assets"), row_no)
         key = (bank_id, year)
         if key in seen:
             raise DuplicateKey(f"row {row_no}: duplicate bank-year pair {key}")
         seen.add(key)
-        records.append(BankRecord(
-            bank_id=bank_id,
-            year=year,
-            total_assets=assets,
-            country=(row.get(colmap["country"]) or "").strip() or None if has_country else None,
-            name=(row.get(colmap["name"]) or "").strip() or None if has_name else None,
-        ))
+        records.append(BankRecord(bank_id=bank_id, year=year, total_assets=assets))
     return BankPanel(records=tuple(records))
 
 
@@ -219,22 +192,9 @@ def panel_csv_text(records: Iterable[BankRecord]) -> str:
 
     Assets are written with repr so a reload parses to the identical float.
     """
-    records = list(records)
-    has_country = any(r.country for r in records)
-    has_name = any(r.name for r in records)
-    fields = ["bank_id", "year", "total_assets"]
-    if has_country:
-        fields.append("country")
-    if has_name:
-        fields.append("name")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow(REQUIRED_COLUMNS)
     for r in records:
-        row: list = [r.bank_id, r.year, repr(r.total_assets)]
-        if has_country:
-            row.append(r.country or "")
-        if has_name:
-            row.append(r.name or "")
-        writer.writerow(row)
+        writer.writerow([r.bank_id, r.year, repr(r.total_assets)])
     return buf.getvalue()

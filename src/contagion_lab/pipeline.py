@@ -210,7 +210,7 @@ def network_lambda2(assets: Sequence[float] | np.ndarray,
                     method: ReconstructionConfig) -> float:
     """lambda2 of the network ``network_spectrum`` builds, without its full spectrum.
 
-    When the exposures keep a max-entropy factor u, lambda2 comes from
+    When the exposures keep a product-form factor u, lambda2 comes from
     ``threshold_lambda2`` on u and the threshold, whether or not the
     threshold removed edges: the exposures' dense ``X`` is never built, and
     the degrees are those of ``build_network``'s mask by construction.
@@ -333,10 +333,6 @@ def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
 
 def analyze_results(reports: Sequence[YearReport]) -> dict:
     return to_json({"years": reports, "summary": cross_year_summary(reports)})
-
-
-def analyze_panel(panel: BankPanel, cfg: RunConfig) -> dict:
-    return analyze_results(year_reports(panel, cfg))
 
 
 # --- ratio sweep --------------------------------------------------------------------

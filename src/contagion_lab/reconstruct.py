@@ -163,26 +163,26 @@ class ReconstructionConfig:
 
 # --- exposure matrix ----------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ExposureMatrix:
     """Non-negative bilateral exposure estimate with its marginal targets.
 
     ``targets`` is the vector A that both the row and the column sums meet,
     within ``MARGINAL_RTOL * max(A)``, or None for a method that fits no
     per-bank targets (KDE, fitness, loaded exposures).
-    ``factor`` is u with x_ij = u_i u_j off the diagonal (max-entropy off
-    the feasibility boundary), otherwise None. A matrix given its factor
-    and no ``X`` keeps only the factor. It is checked in O(n): the factor
-    is finite and non-negative, and its marginals u_i (sum u - u_i) meet
-    the targets. Its dense ``X``, ``np.outer(u, u)`` with a zero diagonal,
-    is built on first read. A matrix given ``X`` is checked on ``X`` itself.
+    ``factor`` is u with x_ij = u_i u_j off the diagonal (KDE, fitness, and
+    max-entropy off the feasibility boundary), otherwise None. Given its
+    factor and no ``X``, a matrix keeps only the factor, checked in O(n):
+    finite, non-negative, and with marginals u_i (sum u - u_i) that meet
+    any targets. ``X``, ``np.outer(u, u)`` with a zero diagonal, is built on
+    first read. A matrix given ``X`` is checked on ``X``. Compared by identity.
     """
 
     bank_ids: tuple[str, ...]
     targets: np.ndarray | None
     method: str
     flags: tuple[str, ...]
-    factor: np.ndarray | None = field(repr=False, compare=False)
+    factor: np.ndarray | None = field(repr=False)
 
     def __init__(self, bank_ids: tuple[str, ...], X: np.ndarray | None,
                  targets: np.ndarray | None = None, method: str = "max_entropy",
@@ -437,8 +437,6 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
     n = len(T)
     if n < 2:
         raise ValueError("need at least 2 banks")
-    if not total_interbank > 0:
-        raise ZeroTotal("total_interbank must be > 0")
 
     flags: list[str] = []
     h = silverman_bandwidth(T)
@@ -448,24 +446,14 @@ def kde_weights(assets: Sequence[float] | np.ndarray, total_interbank: float,
         h = 0.9 * sigma * n ** (-0.2)
         if h > 0:
             flags.append("bandwidth_fallback_sigma")
-    if h <= 0:
-        flags.append("uniform_weight_fallback")
 
     if h > 0:
         z = (T[:, None] - T[None, :]) / h
         dens = np.exp(-0.5 * z ** 2).sum(axis=1) / (n * h * math.sqrt(2 * math.pi))
     else:
+        flags.append("uniform_weight_fallback")
         dens = np.ones(n)
-
-    W = np.outer(dens, dens)
-    np.fill_diagonal(W, 0.0)
-    denom = W.sum()
-    if denom <= 0:
-        raise ZeroTotal("kernel weights sum to zero")
-    X = W * (total_interbank / denom)
-    np.fill_diagonal(X, 0.0)
-    ids = tuple(bank_ids) if bank_ids is not None else _default_ids(n)
-    return ExposureMatrix(bank_ids=ids, X=X, method="kde", flags=tuple(flags))
+    return _scaled_product(dens, total_interbank, bank_ids, "kde", "kernel weights", tuple(flags))
 
 
 def fitness_model(assets: Sequence[float] | np.ndarray, alpha: float,
@@ -482,14 +470,26 @@ def fitness_model(assets: Sequence[float] | np.ndarray, alpha: float,
     T = np.asarray(assets, dtype=float)
     if np.any(T <= 0):
         raise ValueError("assets must be strictly positive")
-    if not total_interbank > 0:
+    return _scaled_product((T / T.max()) ** alpha, total_interbank, bank_ids, "fitness",
+                           f"fitness_alpha={alpha!r}")
+
+
+def _scaled_product(w: np.ndarray, total: float, bank_ids: Sequence[str] | None, method: str,
+                    source: str, flags: tuple[str, ...] = ()) -> ExposureMatrix:
+    """x_ij = u_i u_j (i != j), u = w sqrt(total / sum_i w_i (sum w - w_i)): the sum
+    of w_i w_j over i != j, which cancels nothing. ZeroTotal names ``source``
+    when that sum is 0 or 2n max(u)^2, which bounds X and the eigenvalue count,
+    is past the float range, where the Python floats below overflow to inf."""
+    if not total > 0:
         raise ZeroTotal("total_interbank must be > 0")
-    eta = (T / T.max()) ** alpha
-    W = np.outer(eta, eta)
-    np.fill_diagonal(W, 0.0)
-    X = W * (total_interbank / W.sum())
-    ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(T))
-    return ExposureMatrix(bank_ids=ids, X=X, method="fitness")
+    denom = float(w @ _sum_of_others(w))
+    scale = math.sqrt(total / denom) if denom > 0 else math.inf
+    top = float(w.max()) * scale
+    if not 2.0 * len(w) * top * top < math.inf:
+        raise ZeroTotal(f"{source}: the other banks' weights are too small beside the "
+                        "largest bank's to scale to the total in floating point")
+    ids = tuple(bank_ids) if bank_ids is not None else _default_ids(len(w))
+    return ExposureMatrix(bank_ids=ids, X=None, method=method, flags=flags, factor=w * scale)
 
 
 def min_density(A: Sequence[float] | np.ndarray,

@@ -1,10 +1,10 @@
-"""lambda2 of max-entropy networks from their factor.
+"""lambda2 of max-entropy, kde and fitness networks from their factor.
 
 ``network_lambda2`` counts eigenvalues with ``threshold_lambda2`` when the
-exposures keep a max-entropy factor, whether the threshold left the network
-complete or removed edges, and runs ``build_network`` and
-``laplacian_spectrum`` otherwise (no factor) or when fewer than 2 banks keep
-an edge. Dense ``eigvalsh`` of the network's Laplacian (of its largest
+exposures keep a factor, whether the threshold left the network complete or
+removed edges, and runs ``build_network`` and ``laplacian_spectrum``
+otherwise (no factor), when fewer than 2 banks keep an edge, or when the top
+bank's factor swamps its neighbours' (``COUNT_SKEW_MAX``). Dense ``eigvalsh`` of the network's Laplacian (of its largest
 component) is the oracle, and the mask of ``build_network`` the oracle of
 the degrees; eigensolver counters guard which path a run takes, and
 ``tracemalloc`` that it builds no n x n array.
@@ -12,6 +12,7 @@ the degrees; eigensolver counters guard which path a run takes, and
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import random_connected_network
 from contagion_lab.errors import InfeasibleMarginals, SingletonGraph
 from contagion_lab import pipeline
 from contagion_lab.graph import (
+    COUNT_SKEW_MAX,
     WeightedNetwork,
     _ranked_degrees,
     build_network,
@@ -125,6 +127,52 @@ class TestAgainstDenseEigvalsh:
             got = network_lambda2(assets, COMPLETE)
             assert got == count_lambda2(exposures)
             assert abs(got - want) <= 1e-12 * want
+
+
+@st.composite
+def product_form_cases(draw):
+    """kde or fitness (alpha from 1e-3 to 50) on ``asset_vectors``, or on
+    assets whose quartiles meet, which kde's sigma bandwidth fallback takes
+    (all-equal assets take its uniform one), with no threshold or one
+    halfway between two distinct weights."""
+    if draw(st.booleans()):
+        assets = draw(asset_vectors())
+    else:
+        n = draw(st.integers(5, 60))
+        k = draw(st.integers(1, (n - 1) // 4))  # above the upper quartile
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        assets = np.full(n, draw(st.floats(1.0, 1e6)))
+        assets[:k] *= 1.0 + rng.lognormal(0.0, 1.0, k)
+    method = ReconstructionConfig(
+        method=draw(st.sampled_from(["kde", "fitness"])), min_edge_threshold=0.0,
+        fitness_alpha=draw(st.floats(1e-3, 50.0)))
+    if draw(st.booleans()):
+        w = np.unique(maxent_network(assets, method)[1].W)
+        assume(len(w) >= 3)  # 0 and two distinct weights
+        k = draw(st.integers(1, len(w) - 2))
+        method = replace(method, min_edge_threshold=float(0.5 * (w[k] + w[k + 1])))
+    return assets, method
+
+
+class TestProductFormsAgainstDenseEigvalsh:
+    @given(product_form_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_kde_and_fitness_match_eigvalsh(self, case):
+        assets, method = case
+        exposures, net = maxent_network(assets, method)
+        u = np.sort(exposures.factor)[::-1]
+        d = _ranked_degrees(u, method.min_edge_threshold)
+        assert np.array_equal(np.sort(d), np.sort((net.W > 0).sum(axis=1)))
+        skew = u[0] / u[1:d[0] + 1].sum()  # the count declines above COUNT_SKEW_MAX
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # kde's exp underflows
+            got = network_lambda2(assets, method)
+            if skew <= COUNT_SKEW_MAX:
+                assert count_lambda2(exposures, method.min_edge_threshold) == got
+        spectrum = np.linalg.eigvalsh(net.subnetwork(net.components()[0]).laplacian())
+        # the count's error is about max(1, skew) times eigvalsh's n eps lambda_n;
+        # at a large alpha lambda_n / lambda2 leaves neither accurate relative to lambda2
+        tol = 4 * net.n * np.finfo(float).eps * spectrum[-1] * max(1.0, min(skew, COUNT_SKEW_MAX))
+        assert abs(got - spectrum[1]) <= 1e-12 * abs(spectrum[1]) + tol
 
 
 def threshold_between(net, quantile):
@@ -369,14 +417,27 @@ class TestWhichPath:
 
     def test_networks_without_factors_make_one_call_per_block(self, eigvalsh_calls):
         assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
-        for epsilon, blocks in ((0.0, 1), (100.0, 2)):  # 100 isolates three banks
-            method = ReconstructionConfig(method="kde", min_edge_threshold=epsilon)
+        for epsilon, blocks in ((0.0, 1), (300.0, 2)):  # 300 isolates two banks
+            method = ReconstructionConfig(method="min_density", min_edge_threshold=epsilon)
             eigvalsh_calls.clear()
             got = network_lambda2(assets, method)
             assert len(eigvalsh_calls) == blocks
             net = build_network(reconstruct_exposures(assets, method), epsilon)
             assert (len(net.components()) > 1) == (blocks == 2)
             assert got == laplacian_spectrum(net).lambda2
+
+    @pytest.mark.parametrize("name", ["kde", "fitness"])
+    def test_kde_and_fitness_networks_make_no_eigvalsh_call(self, eigvalsh_calls, name):
+        assets = np.random.default_rng(3).lognormal(11.0, 1.0, 40)
+        complete = ReconstructionConfig(method=name, min_edge_threshold=0.0)
+        net = build_network(reconstruct_exposures(assets, complete))
+        thresholded = replace(complete, min_edge_threshold=threshold_between(net, 1 / 3))
+        for method in (complete, thresholded):
+            assert bootstrap_lambda2(assets, method, B=10, seed=5).B_effective == 10
+            leave_one_out_lambda2(assets, method)
+        panel = BankPanel(records=tuple(synth_panel(10, [2018, 2021], seed=3, log_sigma=0.5)))
+        sweep_ratios(panel, RunConfig(method=thresholded, ratio_sweep=(0.02, 0.08, 3)))
+        assert eigvalsh_calls == []
 
     def test_leave_one_out_and_sweep_take_the_structured_path(self, eigvalsh_calls):
         assets = np.random.default_rng(4).lognormal(11.0, 0.5, 12)

@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -67,13 +69,18 @@ class TestLoadPanel:
         with pytest.raises(MissingColumn):
             load_panel(csv_stream("bank_id,year\nA,2018\n"))
 
-    def test_schema_remap_and_optional_columns(self):
-        panel = load_panel(
-            csv_stream("lei,yr,exposure,country\nX1,2018,5.5,DE\n"),
-            schema={"bank_id": "lei", "year": "yr", "total_assets": "exposure"},
-        )
-        assert panel.records[0].total_assets == 5.5
-        assert panel.records[0].country == "DE"
+    def test_extra_columns_are_ignored(self):
+        panel = load_panel(csv_stream("bank_id,year,total_assets,country\nX1,2018,5.5,DE\n"))
+        assert panel.records == (BankRecord("X1", 2018, 5.5),)
+
+    def test_a_path_source_is_closed(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("bank_id,year,total_assets\nA,2018,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert len(load_panel(path)) == 1
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_bytes_input(self):
         panel = load_panel(b"bank_id,year,total_assets\nA,2018,1\n")

@@ -16,7 +16,7 @@ from contagion_lab.pipeline import (
     BootstrapSection,
     DidSection,
     RunConfig,
-    analyze_panel,
+    analyze_results,
     did_from_panel,
     dump_json,
     from_json,
@@ -25,6 +25,7 @@ from contagion_lab.pipeline import (
     synth_panel,
     synth_panel_csv,
     to_json,
+    year_reports,
 )
 from contagion_lab.reconstruct import (
     FixedRatio,
@@ -80,7 +81,7 @@ class TestAnalyze:
 
     def test_three_year_report_structure(self):
         cfg = RunConfig(method=ZERO_EPS)
-        out = analyze_panel(self.panel(), cfg)
+        out = analyze_results(year_reports(self.panel(), cfg))
         assert [y["year"] for y in out["years"]] == [2018, 2021, 2023]
         assert len(out["summary"]["adjacent"]) == 2
         overall = out["summary"]["overall"]
@@ -92,7 +93,7 @@ class TestAnalyze:
 
     def test_single_year_no_change_columns(self):
         cfg = RunConfig(method=ZERO_EPS)
-        out = analyze_panel(self.panel(years=(2018,)), cfg)
+        out = analyze_results(year_reports(self.panel(years=(2018,)), cfg))
         assert len(out["years"]) == 1
         assert out["summary"]["adjacent"] == []
         assert "overall" not in out["summary"]
@@ -105,23 +106,23 @@ class TestAnalyze:
         for rec in base:
             records.append(type(rec)(rec.bank_id, 2021, rec.total_assets))
         panel = BankPanel(records=tuple(records))
-        out = analyze_panel(panel, RunConfig(method=ZERO_EPS))
+        out = analyze_results(year_reports(panel, RunConfig(method=ZERO_EPS)))
         pair = out["summary"]["adjacent"][0]
         assert pair["pct_lambda2"] == pytest.approx(0.0, abs=1e-9)
         assert pair["kappa_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_year_filter_and_missing_year(self):
         cfg = RunConfig(method=ZERO_EPS, years=(2018, 2023))
-        out = analyze_panel(self.panel(), cfg)
+        out = analyze_results(year_reports(self.panel(), cfg))
         assert [y["year"] for y in out["years"]] == [2018, 2023]
         from contagion_lab.errors import ContagionLabError
         with pytest.raises(ContagionLabError):
-            analyze_panel(self.panel(), RunConfig(method=ZERO_EPS, years=(1999,)))
+            year_reports(self.panel(), RunConfig(method=ZERO_EPS, years=(1999,)))
 
     def test_worker_pool_matches_serial(self):
         panel = self.panel(n=20)
-        serial = analyze_panel(panel, RunConfig(method=ZERO_EPS, workers=1))
-        parallel = analyze_panel(panel, RunConfig(method=ZERO_EPS, workers=3))
+        serial = analyze_results(year_reports(panel, RunConfig(method=ZERO_EPS, workers=1)))
+        parallel = analyze_results(year_reports(panel, RunConfig(method=ZERO_EPS, workers=3)))
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
@@ -512,6 +513,16 @@ class TestCliCommands:
         assert capsys.readouterr().err == (f"error: row 4: {cell!r} in column 'profit' "
                                            "is not > 0, which --log needs\n")
         assert cli.main([*args, "--no-log"]) == 0  # the level itself is fine
+
+    def test_fitness_alpha_past_the_float_range_is_one_line(self, tmp_path, capsys):
+        # the scores of every bank but the largest underflow to zero
+        path = tmp_path / "panel.csv"
+        path.write_text(synth_panel_csv(20, [2018], seed=3))
+        assert cli.main(["analyze", "--input", str(path), "--method", "fitness",
+                         "--fitness-alpha", "2000", "--output-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: year 2018: fitness_alpha=2000\.0: [^\n]+\n", err), err
+        assert not (tmp_path / "analyze.json").exists()
 
     def test_placebo_command(self, tmp_path):
         from contagion_lab.reconstruct import max_entropy

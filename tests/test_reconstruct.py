@@ -9,7 +9,8 @@ from contagion_lab.errors import (
     InvalidRatio,
     ZeroTotal,
 )
-from contagion_lab.graph import build_network, laplacian_spectrum
+from contagion_lab.graph import _ranked_degrees, build_network, laplacian_spectrum
+from contagion_lab.pipeline import network_lambda2
 from contagion_lab.reconstruct import (
     MARGINAL_RTOL,
     ExposureMatrix,
@@ -221,6 +222,10 @@ class TestMaxEntropy:
         with pytest.raises(ValueError, match="marginals off"):
             ExposureMatrix(em.bank_ids, X, em.targets)
 
+    def test_matrices_compare_by_identity(self):
+        a, b = max_entropy([1.0, 2.0, 3.0]), max_entropy([1.0, 2.0, 3.0])
+        assert a == a and a != b
+
     def test_infeasible_marginal_raises(self):
         # one bank holds more than half the total: no zero-diagonal solution
         with pytest.raises(InfeasibleMarginals):
@@ -336,6 +341,47 @@ class TestFitnessModel:
         np.fill_diagonal(log_w, -np.inf)
         w = np.exp(log_w - log_w.max())
         assert np.allclose(em.X, 6.0 * w / w.sum(), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1060.0, 1100.0])
+    def test_alpha_past_the_float_range_is_a_one_line_error(self, alpha):
+        # (1/2)^alpha is subnormal at 1060, so the scale overflows, and zero at 1100;
+        # two banks share the total, x_12 = 1.5, at every alpha
+        with pytest.raises(ZeroTotal, match=rf"^fitness_alpha={alpha!r}: [^\n]+$"):
+            fitness_model([1.0, 2.0], alpha=alpha, total_interbank=3.0)
+
+    @pytest.mark.parametrize("assets", [[1.0, 2.0], [1.0, 1.5, 2.0], [0.5, 1.0, 1.0, 2.0]])
+    def test_every_alpha_gives_finite_exposures_or_the_error(self, assets):
+        # across the window where the top bank's u_i^2 leaves the float range:
+        # no warning from the scale, from X, from the degrees or from lambda2
+        for alpha in np.linspace(950.0, 1100.0, 300):
+            method = ReconstructionConfig(method="fitness", fitness_alpha=float(alpha),
+                                          min_edge_threshold=0.0)
+            try:
+                em = reconstruct_exposures(assets, method)
+            except ZeroTotal as exc:
+                assert str(exc).startswith(f"fitness_alpha={float(alpha)!r}: ")
+                continue
+            order = np.argsort(-em.factor, kind="stable")
+            net = build_network(em)
+            assert np.array_equal(_ranked_degrees(em.factor[order], 0.0),
+                                  (net.W > 0).sum(axis=1)[order])
+            assert np.all(np.isfinite(em.X))
+            assert em.X.sum() == pytest.approx(0.05 * sum(assets), rel=1e-12)
+            if len(assets) == 2:
+                assert em.X[0, 1] == pytest.approx(0.025 * sum(assets), rel=1e-13)
+            want = laplacian_spectrum(net).lambda2
+            assert network_lambda2(assets, method) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda T: kde_weights(T, 7.5),
+                                  lambda T: fitness_model(T, 1.3, 7.5)], ids=["kde", "fitness"])
+def test_kde_and_fitness_keep_only_their_factor(make):
+    em = make(np.random.default_rng(4).lognormal(3, 1, 12))
+    assert "X" not in vars(em) and em.targets is None  # ``X`` caches itself there
+    want = np.outer(em.factor, em.factor)
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(em.X, want)
+    assert em.X.sum() == pytest.approx(7.5, rel=1e-13)
 
 
 def support_feasible(support, A, L):

@@ -59,6 +59,9 @@ def _build_run_config(args) -> RunConfig:
     cfg = from_json(RunConfig, doc)
     flags = {"output_dir": os.environ.get(OUTPUT_DIR_ENV) or None,
              **{name: v for name, v in vars(args).items() if v is not None}}
+    if "ratio_sweep" in flags:  # sweep's --sweep-* slots; None keeps the config's or default
+        given = zip(cfg.ratio_sweep or (*RHO_SWEEP_RANGE, 10), flags["ratio_sweep"])
+        flags["ratio_sweep"] = tuple(s if flag is None else flag for s, flag in given)
     return overlay(cfg, flags)
 
 
@@ -105,9 +108,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_run_config(args)
-    slots = zip(cfg.ratio_sweep or (*RHO_SWEEP_RANGE, 10),
-                (args.sweep_min, args.sweep_max, args.sweep_steps))
-    cfg = overlay(cfg, {"ratio_sweep": tuple(s if flag is None else flag for s, flag in slots)})
     ensure_writable(cfg.output_dir)
     panel = _load(cfg)
     results = pipeline.sweep_ratios(panel, cfg)
@@ -157,30 +157,31 @@ def _cell_number(row: dict, column: str, row_no: int) -> float:
     return value
 
 
-def _read_two_groups(path: str, group_col: str, value_col: str, delimiter: str):
-    groups: dict[str, list[float]] = {}
+def _column_rows(path: str, columns: tuple[str, ...],
+                 delimiter: str) -> list[tuple[int, dict]]:
+    """The rows of a headered CSV with their numbers (the header is row 1, blank
+    lines are no rows); MissingColumn if the header lacks one of ``columns``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None or group_col not in reader.fieldnames \
-                or value_col not in reader.fieldnames:
-            raise MissingColumn(f"need columns {group_col!r} and {value_col!r}")
-        for row_no, row in enumerate(reader, start=2):
-            groups.setdefault(row[group_col], []).append(_cell_number(row, value_col, row_no))
-    if len(groups) != 2:
-        raise ContagionLabError(f"expected exactly 2 groups, got {sorted(groups)}")
-    (ga, va), (gb, vb) = sorted(groups.items())
-    return ga, va, gb, vb
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise MissingColumn(f"column {column!r} not found in the header")
+        return list(enumerate(reader, start=2))
 
 
 def cmd_permute(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
-    ga, va, gb, vb = _read_two_groups(cfg.input_path, args.group_column, args.value_column,
-                                      cfg.delimiter)
-    p = permutation_test(va, vb, n_perm=args.n_perm, seed=cfg.seed)
+    group, value, groups = cfg.group_column, cfg.value_column, {}
+    for row_no, row in _column_rows(cfg.input_path, (group, value), cfg.delimiter):
+        groups.setdefault(row[group], []).append(_cell_number(row, value, row_no))
+    if len(groups) != 2:
+        raise ContagionLabError(f"expected exactly 2 groups, got {sorted(groups)}")
+    (ga, va), (gb, vb) = sorted(groups.items())
+    p = permutation_test(va, vb, n_perm=cfg.n_perm, seed=cfg.seed)
     t_obs = float(np.mean(va) - np.mean(vb))
     results = {"group_a": ga, "group_b": gb, "n_a": len(va), "n_b": len(vb),
-               "t_obs": t_obs, "n_perm": args.n_perm, "p_value": p}
+               "t_obs": t_obs, "n_perm": cfg.n_perm, "p_value": p}
     table = render_table(["groups", "T_obs", "p_value"],
                          [(f"{ga} vs {gb}", t_obs, p)], title="Permutation test")
     _emit(cfg, "permute", results, table, args.table)
@@ -193,12 +194,12 @@ def cmd_placebo(args) -> int:
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         exposures = exposure_from_csv_text(fh.read(), delimiter=cfg.delimiter)
     net = build_network(exposures, cfg.method.min_edge_threshold)
-    result = placebo_null(net, n_draws=args.n_draws, seed=cfg.seed)
+    result = placebo_null(net, n_draws=cfg.n_draws, seed=cfg.seed)
     table = render_table(
         ["observed", "null_mean", "percentile", "tied"],
         [(result.observed, float(np.mean(result.null_lambda2)),
           result.percentile, str(result.tied))],
-        title=f"Placebo null ({args.n_draws} weight shuffles)",
+        title=f"Placebo null ({cfg.n_draws} weight shuffles)",
     )
     _emit(cfg, "placebo", result, table, args.table)
     return EXIT_OK
@@ -212,24 +213,15 @@ def cmd_did(args) -> int:
     panel = _load(cfg)
     years = set(pipeline.requested_years(panel, cfg))
     panel = BankPanel(tuple(r for r in panel.records if r.year in years))
-    outcomes = None
-    if args.outcome_column != "total_assets":
-        outcomes = {}
-        with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=cfg.delimiter)
-            if reader.fieldnames is None or args.outcome_column not in reader.fieldnames:
-                raise MissingColumn(f"outcome column {args.outcome_column!r} not found")
-            for row_no, row in enumerate(reader, start=2):
-                key = (row["bank_id"].strip(), int(row["year"]))
-                val = _cell_number(row, args.outcome_column, row_no)
-                if args.log and val <= 0:
-                    raise MalformedRow(f"row {row_no}: {row[args.outcome_column]!r} in column "
-                                       f"{args.outcome_column!r} is not > 0, which --log needs")
-                outcomes[key] = math.log(val) if args.log else val
+    column, log, outcomes = cfg.did.outcome_column, cfg.did.log, {}
+    for row_no, row in _column_rows(cfg.input_path, (column,), cfg.delimiter):
+        val = _cell_number(row, column, row_no)
+        if log and val <= 0:
+            raise MalformedRow(f"row {row_no}: {row[column]!r} in column {column!r} "
+                               "is not > 0, which --log needs")
+        outcomes[row["bank_id"].strip(), int(row["year"])] = math.log(val) if log else val
     result, treatment = pipeline.did_from_panel(
-        panel, base_year=cfg.did.base_year, quantile=cfg.did.quantile,
-        log_outcome=args.log, outcomes=outcomes,
-    )
+        panel, base_year=cfg.did.base_year, quantile=cfg.did.quantile, outcomes=outcomes)
     results = {
         "base_year": cfg.did.base_year,
         "quantile": cfg.did.quantile,
@@ -255,17 +247,16 @@ def _is_number(text: str) -> bool:
 def cmd_fit(args) -> int:
     cfg = _build_run_config(args)
     ensure_writable(cfg.output_dir)
-    values: list[float] = []
-    with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=cfg.delimiter)
-        header = reader.fieldnames or []
-        if args.column in header:
-            for row_no, row in enumerate(reader, start=2):
-                values.append(_cell_number(row, args.column, row_no))
-        elif header and not _is_number(header[0]):
-            raise MissingColumn(f"column {args.column!r} not found in the header")
-        else:  # no header: one number per line, blank lines skipped
-            fh.seek(0)
+    try:
+        values = [_cell_number(row, cfg.column, row_no) for row_no, row
+                  in _column_rows(cfg.input_path, (cfg.column,), cfg.delimiter)]
+    except MissingColumn:
+        with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh, delimiter=cfg.delimiter), [])
+            if header and not _is_number(header[0]):
+                raise
+            fh.seek(0)  # no header: one number per line, blank lines skipped
+            values = []
             for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -274,7 +265,7 @@ def cmd_fit(args) -> int:
                     values.append(float(line))
                 except ValueError:
                     raise MalformedRow(f"line {number}: {line!r} is not a number") from None
-    result = fit_distributions(values, x_min=args.x_min, scan_xmin=args.scan_xmin)
+    result = fit_distributions(values, x_min=cfg.x_min, scan_xmin=cfg.scan_xmin)
     label = {"lognormal": "Lognormal", "power_law": "Power law",
              "inconclusive": "Inconclusive"}[result.best_fit]
     table = render_table(
@@ -303,8 +294,16 @@ def cmd_synth(args) -> int:
 
 
 # --- parser --------------------------------------------------------------------
-# A flag's ``dest`` names the config field it sets, and such a flag defaults to
-# None; flags that set no field (``--table``, ``--n-draws``, ...) are read by commands.
+# A flag's ``dest`` names the config field it sets, and it defaults to None; only
+# --config, --table, --eigenvalues-csv and synth's generator flags set no field.
+
+class _SweepSlot(argparse.Action):
+    """Sets slot ``const`` of sweep's (min, max, steps); the others stay as they are."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        slots = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (*slots[:self.const], value, *slots[self.const + 1:]))
+
 
 def _year_list(text: str) -> tuple[int, ...]:
     try:
@@ -375,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="lambda2 over a grid of interbank ratios")
     _add_common(p)
     _add_method(p)
-    p.add_argument("--sweep-min", type=float, default=None, dest="sweep_min")
-    p.add_argument("--sweep-max", type=float, default=None, dest="sweep_max")
-    p.add_argument("--sweep-steps", type=int, default=None, dest="sweep_steps")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--sweep-min", type=float, action=_SweepSlot, const=0, dest="ratio_sweep")
+    p.add_argument("--sweep-max", type=float, action=_SweepSlot, const=1, dest="ratio_sweep")
+    p.add_argument("--sweep-steps", type=int, action=_SweepSlot, const=2, dest="ratio_sweep")
+    p.set_defaults(func=cmd_sweep, ratio_sweep=(None, None, None))
 
     p = sub.add_parser("bootstrap", help="bank-resampling CI for lambda2")
     _add_common(p)
@@ -390,35 +389,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("permute", help="two-sided permutation test on two groups")
     _add_common(p)
-    p.add_argument("--group-column", default="group")
-    p.add_argument("--value-column", default="value")
-    p.add_argument("--n-perm", type=_positive_int, default=10_000, dest="n_perm")
+    p.add_argument("--group-column", dest="group_column")
+    p.add_argument("--value-column", dest="value_column")
+    p.add_argument("--n-perm", type=_positive_int, dest="n_perm")
     p.set_defaults(func=cmd_permute)
 
     p = sub.add_parser("placebo", help="edge-weight shuffle null for lambda2")
     _add_common(p)
     p.add_argument("--epsilon", type=float, dest="min_edge_threshold",
                    help="edge threshold in millions")
-    p.add_argument("--n-draws", type=_positive_int, default=1000, dest="n_draws")
+    p.add_argument("--n-draws", type=_positive_int, dest="n_draws")
     p.set_defaults(func=cmd_placebo)
 
     p = sub.add_parser("did", help="difference-in-differences on the panel")
     _add_common(p)
     p.add_argument("--base-year", type=int, default=None, dest="base_year")
     p.add_argument("--quantile", type=float, default=None)
-    p.add_argument("--outcome-column", default="total_assets", dest="outcome_column")
+    p.add_argument("--outcome-column", dest="outcome_column")
     log_group = p.add_mutually_exclusive_group()
-    log_group.add_argument("--log", dest="log", action="store_true", default=True)
-    log_group.add_argument("--no-log", dest="log", action="store_false")
+    log_group.add_argument("--log", dest="log", action="store_true", default=None)
+    log_group.add_argument("--no-log", dest="log", action="store_false", default=None)
     p.add_argument("--balanced", action="store_true", default=None)
     p.add_argument("--years", type=_year_list)
     p.set_defaults(func=cmd_did)
 
     p = sub.add_parser("fit", help="power law vs lognormal tail comparison")
     _add_common(p)
-    p.add_argument("--column", default="value")
-    p.add_argument("--x-min", type=float, default=None, dest="x_min")
-    p.add_argument("--scan-xmin", action="store_true", dest="scan_xmin")
+    p.add_argument("--column")
+    p.add_argument("--x-min", type=float, dest="x_min")
+    p.add_argument("--scan-xmin", action="store_true", default=None, dest="scan_xmin")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic panel")

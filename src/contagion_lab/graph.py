@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingletonGraph, TooSmall
+from .errors import NonPositiveLambda2, SingletonGraph, TooSmall
 from .reconstruct import ExposureMatrix
 
 #: Two shortest-path lengths within TIE_RTOL of each other (relative) tie.
@@ -200,8 +200,8 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
 
     The spectrum is the union of the eigenvalues of the largest component's
     block and of the other nodes' block (one ``eigvalsh`` each). lambda2 is
-    the largest component's; SingletonGraph is raised if it has fewer than
-    2 nodes.
+    that component's, of m >= 2 nodes (else SingletonGraph), and must exceed
+    the m eps lambda_n that ``eigvalsh`` rounds by (else NonPositiveLambda2).
     """
     if net.n < 2:
         raise SingletonGraph("need at least 2 nodes")
@@ -213,6 +213,9 @@ def laplacian_spectrum(net: WeightedNetwork) -> SpectrumResult:
     mask[comps[0]] = True
 
     lcc, *rest = [np.linalg.eigvalsh(_laplacian_block(net.W, idx)) for idx in _blocks(mask)]
+    if not lcc[1] > sizes[0] * np.finfo(float).eps * lcc[-1]:
+        raise NonPositiveLambda2(f"lambda2 {lcc[1]:.3g} is lost in the rounding of lambda_n "
+                                 f"{lcc[-1]:.3g} (dense eigvalsh)")
     eigenvalues = np.sort(np.concatenate([lcc, *rest])) if rest else lcc
     return SpectrumResult(
         network=net,

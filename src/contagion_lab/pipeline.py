@@ -67,6 +67,8 @@ class DidSection:
 
     base_year: int | None = None
     quantile: float = 0.75
+    outcome_column: str = "total_assets"
+    log: bool = True
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,13 @@ class RunConfig:
     balanced: bool = False
     delimiter: str = ","
     workers: int = 1
+    n_draws: int = 1000  # placebo
+    n_perm: int = 10_000  # permute, with its two columns
+    group_column: str = "group"
+    value_column: str = "value"
+    column: str = "value"  # fit
+    x_min: float | None = None
+    scan_xmin: bool = False
 
     def __post_init__(self):
         if self.ratio_sweep is not None:
@@ -99,6 +108,9 @@ class RunConfig:
                 raise ConfigError("ratio sweep needs at least 1 step")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for name in ("n_draws", "n_perm"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         # written as "not ok" so that NaN, which fails every comparison, is rejected
@@ -109,6 +121,8 @@ class RunConfig:
                 f"diffusion_kappa must be finite and >= 0, got {self.diffusion_kappa!r}")
         if not 0.0 < self.d_star_epsilon < 1.0:
             raise ConfigError(f"d_star_epsilon must be in (0, 1), got {self.d_star_epsilon!r}")
+        if self.x_min is not None and not 0.0 < self.x_min < math.inf:
+            raise ConfigError(f"x_min must be finite and > 0, got {self.x_min!r}")
 
     def params(self) -> DiffusionParams:
         return DiffusionParams(D=self.diffusion_D, kappa=self.diffusion_kappa)
@@ -461,23 +475,18 @@ def synth_panel_csv(n_banks: int, years: Sequence[int], **kwargs) -> str:
 # --- DID over a panel ------------------------------------------------------------------
 
 def did_from_panel(panel: BankPanel, base_year: int, quantile: float,
-                   log_outcome: bool = True,
                    outcomes: dict[tuple[str, int], float] | None = None):
     """Assemble DID observations from a panel and run the regression.
 
     Default outcome is log total assets; ``outcomes`` overrides with an
-    explicit (bank_id, year) -> value map (used by the CLI for custom
-    outcome columns).
+    explicit (bank_id, year) -> value map.
     """
     from .stats import did_regress
 
     treatment = assign_treatment(panel, base_year, quantile)
     obs = []
     for rec in panel.records:
-        if outcomes is not None:
-            val = outcomes[(rec.bank_id, rec.year)]
-        else:
-            val = math.log(rec.total_assets) if log_outcome else rec.total_assets
+        val = math.log(rec.total_assets) if outcomes is None else outcomes[(rec.bank_id, rec.year)]
         obs.append((rec.bank_id, rec.year, val))
     return did_regress(obs, treatment), treatment
 

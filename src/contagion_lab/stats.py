@@ -24,7 +24,7 @@ from .errors import (
     TooFewPoints,
     ZeroVariance,
 )
-from .graph import laplacian_spectrum, WeightedNetwork
+from .graph import WeightedNetwork, _laplacian_block, laplacian_spectrum
 from .ingest import TreatmentAssignment
 from .pipeline import map_in_order, network_lambda2
 from .reconstruct import ReconstructionConfig
@@ -190,15 +190,16 @@ def placebo_null(net: WeightedNetwork, n_draws: int = 1000,
     weights = net.W[iu, ju]
     if len(weights) < 2:
         raise InsufficientData("need at least 2 edges to shuffle")
-    observed = laplacian_spectrum(net).lambda2
+    spectrum = laplacian_spectrum(net)
+    observed, lcc = spectrum.lambda2, np.flatnonzero(spectrum.component_mask)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     null = np.empty(n_draws)
+    W = np.zeros_like(net.W)  # every draw keeps the edges, so the largest component too
     for d in range(n_draws):
         shuffled = rng.permutation(weights)
-        W = np.zeros_like(net.W)
         W[iu, ju] = shuffled
         W[ju, iu] = shuffled
-        null[d] = laplacian_spectrum(WeightedNetwork(net.bank_ids, W)).lambda2
+        null[d] = np.linalg.eigvalsh(_laplacian_block(W, lcc))[1]
     percentile = float(100.0 * np.mean(null <= observed))
     tied = bool(np.all(null == observed))
     return PlaceboResult(null_lambda2=null, observed=observed,

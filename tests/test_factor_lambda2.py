@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_connected_network
-from contagion_lab.errors import InfeasibleMarginals, SingletonGraph
+from contagion_lab.errors import InfeasibleMarginals, NonPositiveLambda2, SingletonGraph
 from contagion_lab import pipeline
 from contagion_lab.graph import (
     COUNT_SKEW_MAX,
@@ -164,11 +164,17 @@ class TestProductFormsAgainstDenseEigvalsh:
         d = _ranked_degrees(u, method.min_edge_threshold)
         assert np.array_equal(np.sort(d), np.sort((net.W > 0).sum(axis=1)))
         skew = u[0] / u[1:d[0] + 1].sum()  # the count declines above COUNT_SKEW_MAX
+        spectrum = np.linalg.eigvalsh(net.subnetwork(net.components()[0]).laplacian())
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # kde's exp underflows
+            if skew > COUNT_SKEW_MAX and \
+                    not spectrum[1] > len(spectrum) * np.finfo(float).eps * spectrum[-1]:
+                # the dense path takes the network, and rounding hides its lambda2
+                with pytest.raises(NonPositiveLambda2, match=r"^lambda2 .* lambda_n "):
+                    network_lambda2(assets, method)
+                return
             got = network_lambda2(assets, method)
             if skew <= COUNT_SKEW_MAX:
                 assert count_lambda2(exposures, method.min_edge_threshold) == got
-        spectrum = np.linalg.eigvalsh(net.subnetwork(net.components()[0]).laplacian())
         # the count's error is about max(1, skew) times eigvalsh's n eps lambda_n;
         # at a large alpha lambda_n / lambda2 leaves neither accurate relative to lambda2
         tol = 4 * net.n * np.finfo(float).eps * spectrum[-1] * max(1.0, min(skew, COUNT_SKEW_MAX))

@@ -1,9 +1,12 @@
+import argparse
+import inspect
 import json
 import math
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -178,7 +181,8 @@ RUN_CONFIGS = st.builds(
         lambda t: (min(t[:2]), max(t[:2]), t[2])),
     bootstrap=st.builds(BootstrapSection, B=st.integers(10, 10_000), level=_UNIT,
                         seed=st.none() | st.integers(0, 2**63)),
-    did=st.builds(DidSection, base_year=st.none() | st.integers(1900, 2100), quantile=_UNIT),
+    did=st.builds(DidSection, base_year=st.none() | st.integers(1900, 2100), quantile=_UNIT,
+                  outcome_column=st.text(max_size=12), log=st.booleans()),
     output_dir=st.text(max_size=12),
     seed=st.integers(0, 2**63),
     diffusion_D=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -187,6 +191,13 @@ RUN_CONFIGS = st.builds(
     balanced=st.booleans(),
     delimiter=st.sampled_from([",", ";", "\t", "|"]),
     workers=st.integers(1, 64),
+    n_draws=st.integers(1, 10**6),
+    n_perm=st.integers(1, 10**6),
+    group_column=st.text(max_size=12),
+    value_column=st.text(max_size=12),
+    column=st.text(max_size=12),
+    x_min=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    scan_xmin=st.booleans(),
 )
 
 
@@ -763,6 +774,10 @@ class TestCliCommands:
         ("permute", ("--n-perm", "x"), "expected a positive integer, got 'x'"),
         ("placebo", ("--n-draws", "0"), "expected a positive integer, got '0'"),
         ("placebo", ("--n-draws", "-2"), "expected a positive integer, got '-2'"),
+        # the power-law fit needs x_min > 0: 0 ended in "math domain error"
+        ("fit", ("--x-min", "0"), "x_min must be finite and > 0, got 0.0"),
+        ("fit", ("--x-min", "-1.5"), "x_min must be finite and > 0, got -1.5"),
+        ("fit", ("--x-min", "nan"), "x_min must be finite and > 0, got nan"),
         ("bootstrap", ("--level", "1.5"), "bootstrap level must be in (0, 1), got 1.5"),
         ("bootstrap", ("--level", "nan"), "bootstrap level must be in (0, 1), got nan"),
         ("bootstrap", ("-B", "5"), "bootstrap B must be >= 10, got 5"),
@@ -808,6 +823,9 @@ class TestCliCommands:
         ('{"d_star_epsilon": 1e400}', "error: d_star_epsilon must be in (0, 1), got inf\n"),
         ('{"diffusion_kappa": -0.1}',
          "error: diffusion_kappa must be finite and >= 0, got -0.1\n"),
+        ('{"n_draws": 0}', "error: n_draws must be >= 1, got 0\n"),
+        ('{"n_perm": -3}', "error: n_perm must be >= 1, got -3\n"),
+        ('{"x_min": 0}', "error: x_min must be finite and > 0, got 0.0\n"),
         ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_large": 1.5}}}',
          "error: rho_large must be in (0, 1), got 1.5\n"),
         ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_small": 0}}}',
@@ -831,25 +849,46 @@ class TestCliCommands:
         assert r.returncode == 2
         assert message in r.stderr and r.stderr.count("\n") == 1
 
-    def test_envelope_config_reruns_byte_identical(self, tmp_path):
-        panel = tmp_path / "panel.csv"
-        panel.write_text(synth_panel_csv(12, [2018, 2021], seed=1, log_sigma=0.5))
-        runs = {"analyze": ("--epsilon", "0", "--rho", "0.04"),
-                "sweep": ("--sweep-max", "0.05", "--sweep-steps", "3", "--size-dependent"),
-                "bootstrap": ("-B", "12", "--level", "0.8", "--seed", "5", "--year", "2018"),
-                "did": ("--base-year", "2018", "--quantile", "0.5", "--years", "2018,2021")}
-        for command, flags in runs.items():
-            out = tmp_path / command
-            r = run_cli(command, "--input", str(panel), "--output-dir", str(out), *flags)
-            assert r.returncode == 0, r.stderr
+    def test_envelope_config_reruns_byte_identical(self, tmp_path, capsys):
+        from contagion_lab.reconstruct import max_entropy
+
+        text = synth_panel_csv(12, [2018, 2021], seed=1, log_sigma=0.5)
+        panel, equity = tmp_path / "panel.csv", tmp_path / "equity.csv"
+        panel.write_text(text)
+        head, *rows = text.splitlines()
+        equity.write_text("".join(f"{line},{v}\n" for line, v in
+                                  zip([head, *rows], ["equity", *range(3, 3 + len(rows))])))
+        # files whose columns the default names do not read
+        groups, sizes = tmp_path / "groups.csv", tmp_path / "sizes.csv"
+        groups.write_text("arm,score,value\n" + "".join(
+            f"{g},{v},0\n" for g, v in zip("xxxxxxyyyyyy", (1, 2, 3, 4, 5, 9, 4, 5, 6, 7, 8, 2))))
+        sizes.write_text("size,value\n" + "".join(
+            f"{float(v)!r},0\n" for v in np.random.default_rng(3).lognormal(0.0, 1.0, 40)))
+        exposures = tmp_path / "exposures.csv"
+        exposures.write_text(max_entropy([2.0, 3.0, 4.0, 5.0]).to_csv_text())
+        runs = [
+            ("analyze", panel, ("--epsilon", "0", "--rho", "0.04")),
+            ("sweep", panel, ("--sweep-max", "0.05", "--sweep-steps", "3", "--size-dependent")),
+            ("bootstrap", panel, ("-B", "12", "--level", "0.8", "--seed", "5", "--year", "2018")),
+            ("did", panel, ("--base-year", "2018", "--quantile", "0.5", "--years", "2018,2021")),
+            ("did", panel, ("--base-year", "2018", "--no-log")),
+            ("did", equity, ("--base-year", "2018", "--outcome-column", "equity")),
+            ("placebo", exposures, ("--epsilon", "0", "--n-draws", "7", "--seed", "2")),
+            ("permute", groups, ("--group-column", "arm", "--value-column", "score",
+                                 "--n-perm", "50")),
+            ("fit", sizes, ("--column", "size", "--scan-xmin")),
+            ("fit", sizes, ("--column", "size", "--x-min", "0.8")),
+        ]
+        for i, (command, path, flags) in enumerate(runs):
+            out = tmp_path / f"run{i}"
+            assert cli.main([command, "--input", str(path), "--output-dir", str(out), *flags]) == 0
             first = json.loads((out / f"{command}.json").read_text())
-            cfg_path = tmp_path / f"{command}_config.json"
+            cfg_path = tmp_path / f"config{i}.json"
             cfg_path.write_text(json.dumps(first["config"]))
-            r = run_cli(command, "--config", str(cfg_path))
-            assert r.returncode == 0, r.stderr
+            assert cli.main([command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
             again = json.loads((out / f"{command}.json").read_text())
-            assert dump_json(again["results"]) == dump_json(first["results"]), command
-            assert again["config"] == first["config"], command
+            assert dump_json(again["results"]) == dump_json(first["results"]), flags
+            assert again["config"] == first["config"], flags
             if command == "bootstrap":
                 # not the last panel year: a rerun that lost --year would resample 2021
                 assert again["results"]["year"] == again["config"]["bootstrap"]["year"] == 2018
@@ -966,3 +1005,45 @@ def test_bootstrap_and_sweep_run_without_scipy(tmp_path):
     sweep = json.loads((tmp_path / "sweep.json").read_text())["results"]
     assert len(sweep["rhos"]) == 3
     assert json.loads((tmp_path / "bootstrap.json").read_text())["results"]["B_effective"] == 12
+
+
+# --- one route from the command line into a command ------------------------------
+
+#: Flags that change no ``results``, so they are no config field.
+OUTPUT_ONLY = {"config", "table", "eigenvalues_csv"}
+#: ``synth``'s generator flags; it writes a panel, not an envelope.
+SYNTH_ONLY = {"n", "log_mean", "log_sigma", "shrink", "shrink_from", "treat_quantile",
+              "noise", "out"}
+
+
+def config_field_names(obj) -> set[str]:
+    """The names ``overlay`` sets: every field of ``obj`` and of its sections."""
+    names = set()
+    for f in fields(obj):
+        names.add(f.name)
+        if is_dataclass(getattr(obj, f.name)):
+            names |= config_field_names(getattr(obj, f.name))
+    return names
+
+
+def test_every_flag_sets_a_run_config_field_and_defaults_to_none():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    known = config_field_names(RunConfig())
+    for command, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} - {"help"}
+        extra = OUTPUT_ONLY | (SYNTH_ONLY if command == "synth" else set())
+        assert dests - known <= extra, command
+        # a default other than None would override the config file's value
+        args = vars(p.parse_args(["--n", "5"] if command == "synth" else []))
+        for dest in dests & known:
+            assert args[dest] in (None, (None, None, None)), (command, dest)
+
+
+def test_commands_read_no_flag_but_the_output_only_ones():
+    for name, fn in vars(cli).items():
+        if name.startswith("cmd_"):
+            source = inspect.getsource(fn)
+            allowed = {"table", "eigenvalues_csv"} | (SYNTH_ONLY if name == "cmd_synth" else set())
+            assert set(re.findall(r"\bargs\.(\w+)", source)) <= allowed, name
+            assert "getattr(args" not in source and "vars(args)" not in source, name

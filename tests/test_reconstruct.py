@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from contagion_lab.errors import (
     InfeasibleMarginals,
     InvalidRatio,
+    NonPositiveLambda2,
     ZeroTotal,
 )
 from contagion_lab.graph import _ranked_degrees, build_network, laplacian_spectrum
@@ -369,6 +370,14 @@ class TestFitnessModel:
             assert em.X.sum() == pytest.approx(0.05 * sum(assets), rel=1e-12)
             if len(assets) == 2:
                 assert em.X[0, 1] == pytest.approx(0.025 * sum(assets), rel=1e-13)
+            lcc = np.linalg.eigvalsh(net.subnetwork(net.components()[0]).laplacian())
+            if not lcc[1] > len(lcc) * np.finfo(float).eps * lcc[-1]:
+                # rounding in the dense eigvalsh hides lambda2: a one-line error
+                with pytest.raises(NonPositiveLambda2, match=r"^lambda2 .* lambda_n "):
+                    laplacian_spectrum(net)
+                with pytest.raises(NonPositiveLambda2, match=r"^lambda2 .* lambda_n "):
+                    network_lambda2(assets, method)
+                continue
             want = laplacian_spectrum(net).lambda2
             assert network_lambda2(assets, method) == pytest.approx(want, rel=1e-12)
 

@@ -123,6 +123,8 @@ class RunConfig:
             raise ConfigError(f"d_star_epsilon must be in (0, 1), got {self.d_star_epsilon!r}")
         if self.x_min is not None and not 0.0 < self.x_min < math.inf:
             raise ConfigError(f"x_min must be finite and > 0, got {self.x_min!r}")
+        if self.x_min is not None and self.scan_xmin:
+            raise ConfigError("x_min and scan_xmin exclude each other: the scan chooses x_min")
 
     def params(self) -> DiffusionParams:
         return DiffusionParams(D=self.diffusion_D, kappa=self.diffusion_kappa)
@@ -279,31 +281,23 @@ def _pct(new: float, old: float) -> float:
     return 100.0 * (new - old) / old
 
 
+def _change(first: YearReport, last: YearReport) -> dict:
+    return {
+        "from": first.year,
+        "to": last.year,
+        "delta_lambda2": last.lambda2 - first.lambda2,
+        "pct_lambda2": _pct(last.lambda2, first.lambda2),
+        "delta_kappa_eff": last.kappa_eff - first.kappa_eff,
+        "pct_kappa_eff": _pct(last.kappa_eff, first.kappa_eff),
+        "kappa_ratio": kappa_ratio(last.lambda2, first.lambda2),
+    }
+
+
 def cross_year_summary(reports: Sequence[YearReport]) -> dict:
     """Adjacent and overall changes in lambda2 and kappa_eff."""
-    pairs = []
-    for prev, cur in zip(reports, reports[1:]):
-        pairs.append({
-            "from": prev.year,
-            "to": cur.year,
-            "delta_lambda2": cur.lambda2 - prev.lambda2,
-            "pct_lambda2": _pct(cur.lambda2, prev.lambda2),
-            "delta_kappa_eff": cur.kappa_eff - prev.kappa_eff,
-            "pct_kappa_eff": _pct(cur.kappa_eff, prev.kappa_eff),
-            "kappa_ratio": kappa_ratio(cur.lambda2, prev.lambda2),
-        })
-    summary = {"adjacent": pairs}
+    summary = {"adjacent": [_change(prev, cur) for prev, cur in zip(reports, reports[1:])]}
     if len(reports) >= 2:
-        first, last = reports[0], reports[-1]
-        summary["overall"] = {
-            "from": first.year,
-            "to": last.year,
-            "delta_lambda2": last.lambda2 - first.lambda2,
-            "pct_lambda2": _pct(last.lambda2, first.lambda2),
-            "delta_kappa_eff": last.kappa_eff - first.kappa_eff,
-            "pct_kappa_eff": _pct(last.kappa_eff, first.kappa_eff),
-            "kappa_ratio": kappa_ratio(last.lambda2, first.lambda2),
-        }
+        summary["overall"] = _change(reports[0], reports[-1])
     return summary
 
 
@@ -331,16 +325,21 @@ def requested_years(panel: BankPanel, cfg: RunConfig) -> list[int]:
     return years
 
 
+def _labelled(label: str, fn, *args):
+    """``fn(*args)``, with ``label: `` put before the message of its ContagionLabError."""
+    try:
+        return fn(*args)
+    except ContagionLabError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
 def year_reports(panel: BankPanel, cfg: RunConfig) -> list[YearReport]:
     """Reconstruction -> network -> spectrum -> decay -> topology, per year."""
     years = requested_years(panel, cfg)
 
     def one(year: int) -> YearReport:
         ids, assets = panel.assets_for_year(year)
-        try:
-            return year_report(year, assets, ids, cfg)
-        except ContagionLabError as exc:
-            raise type(exc)(f"year {year}: {exc}") from exc
+        return _labelled(f"year {year}", year_report, year, assets, ids, cfg)
 
     return map_in_order(one, years, cfg.workers)
 
@@ -368,7 +367,7 @@ def sweep_ratios(panel: BankPanel, cfg: RunConfig) -> dict:
         year, rho = job
         _, assets = panel.assets_for_year(year)
         method = replace(cfg.method, ratio_rule=FixedRatio(rho))
-        return network_lambda2(assets, method)
+        return _labelled(f"year {year}, rho {float(rho)!r}", network_lambda2, assets, method)
 
     jobs = [(year, rho) for year in years for rho in rhos]
     flat = map_in_order(one, jobs, cfg.workers)

@@ -256,6 +256,12 @@ def _ks_statistic(sorted_tail: np.ndarray, cdf: np.ndarray) -> float:
     return float(max(np.abs(upper - cdf).max(), np.abs(lower - cdf).max()))
 
 
+def _power_law_fit(tail: np.ndarray, x_min: float) -> tuple[float, float]:
+    """Power-law alpha and its KS statistic on a sorted tail at or above x_min."""
+    alpha = power_law_mle(tail, x_min)
+    return alpha, _ks_statistic(tail, 1.0 - (tail / x_min) ** (1.0 - alpha))
+
+
 def _norm_cdf(x):
     """Standard normal CDF, 0.5 erfc(-x sqrt(1/2)), elementwise over an array.
 
@@ -282,32 +288,29 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
     1/(mean - x_min). The Vuong statistic is the normalized per-point
     log-likelihood difference, negative favoring the lognormal.
 
-    ``x_min`` defaults to the sample minimum; ``scan_xmin=True`` instead
-    scans candidate x_min values and keeps the one minimizing the
-    power-law KS statistic (leaving at least ``MIN_TAIL`` points).
+    ``x_min`` defaults to the sample minimum. ``scan_xmin=True``, which excludes it,
+    picks x_min by the power-law KS statistic alone (Clauset et al. 2009; first
+    minimum, leaving ``MIN_TAIL`` points) and fits the three families there.
     """
     x = np.asarray(sample, dtype=float)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise NonPositiveSample("sample must be strictly positive and finite")
 
     if scan_xmin:
-        ordered = np.sort(x)
-        candidates = np.unique(x)
-        tail_counts = len(x) - np.searchsorted(ordered, candidates, side="left")
-        candidates = candidates[tail_counts >= MIN_TAIL]
-        if len(candidates) == 0:
+        if x_min is not None:
+            raise ValueError("x_min and scan_xmin exclude each other")
+        if len(x) < MIN_TAIL:
             raise TooFewPoints(f"no x_min leaves {MIN_TAIL} tail points")
-        best = None
-        for cand in candidates:
-            try:
-                fit = fit_distributions(x, x_min=float(cand), scan_xmin=False)
-            except TooFewPoints:
-                continue
-            if best is None or fit.ks_stat < best.ks_stat:
-                best = fit
-        if best is None:
+        ordered, best_ks = np.sort(x), None
+        # the candidates: each distinct value with MIN_TAIL points at or above it
+        for cand in np.unique(ordered[:len(x) - MIN_TAIL + 1]).tolist():
+            tail = ordered[np.searchsorted(ordered, cand):]
+            if tail[0] < tail[-1]:  # a tail of equal values has no fit
+                ks = _power_law_fit(tail, cand)[1]
+                if best_ks is None or ks < best_ks:
+                    best_ks, x_min = ks, cand
+        if best_ks is None:
             raise TooFewPoints("all candidate x_min values were degenerate")
-        return best
 
     x_min = float(x.min()) if x_min is None else float(x_min)
     tail = np.sort(x[x >= x_min])
@@ -317,7 +320,7 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
     if tail[0] == tail[-1]:
         raise TooFewPoints("degenerate sample: zero variance above x_min")
 
-    alpha = power_law_mle(tail, x_min)
+    alpha, ks_pl = _power_law_fit(tail, x_min)
     log_tail = np.log(tail)
     mu = float(log_tail.mean())
     sigma = float(log_tail.std(ddof=0))
@@ -325,7 +328,8 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
 
     # densities conditioned on x >= x_min
     ll_pl = (math.log(alpha - 1) - math.log(x_min)) - alpha * np.log(tail / x_min)
-    ln_tailmass = max(1.0 - _norm_cdf((math.log(x_min) - mu) / sigma), 1e-300)
+    cdf_ln_at_min = _norm_cdf((math.log(x_min) - mu) / sigma)
+    ln_tailmass = max(1.0 - cdf_ln_at_min, 1e-300)
     ll_ln = (-np.log(tail * sigma * math.sqrt(2 * math.pi))
              - (log_tail - mu) ** 2 / (2 * sigma ** 2)
              - math.log(ln_tailmass))
@@ -339,11 +343,7 @@ def fit_distributions(sample: Sequence[float] | np.ndarray,
         vuong = 0.0
         p_value = 1.0
 
-    cdf_pl = 1.0 - (tail / x_min) ** (1.0 - alpha)
-    ks_pl = _ks_statistic(tail, cdf_pl)
-    cdf_ln_raw = _norm_cdf((log_tail - mu) / sigma)
-    cdf_ln_at_min = _norm_cdf((math.log(x_min) - mu) / sigma)
-    cdf_ln = (cdf_ln_raw - cdf_ln_at_min) / ln_tailmass
+    cdf_ln = (_norm_cdf((log_tail - mu) / sigma) - cdf_ln_at_min) / ln_tailmass
     ks_ln = _ks_statistic(tail, cdf_ln)
     cdf_exp = 1.0 - np.exp(-exp_rate * (tail - x_min))
     ks_exp = _ks_statistic(tail, cdf_exp)

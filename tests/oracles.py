@@ -6,8 +6,9 @@ from typing import Iterable
 
 import numpy as np
 
+from contagion_lab.errors import TooFewPoints
 from contagion_lab.ingest import TreatmentAssignment
-from contagion_lab.stats import _did_design
+from contagion_lab.stats import MIN_TAIL, FitComparison, _did_design, fit_distributions
 
 
 def matrix_ras(A: np.ndarray, L: np.ndarray, rtol: float = 1e-12,
@@ -72,3 +73,31 @@ def did_within_coefficients(observations: Iterable[tuple[str, int, float]],
     Z_w = np.column_stack([demean(Z[:, j]) for j in range(Z.shape[1])])
     beta, *_ = np.linalg.lstsq(Z_w, y_w, rcond=None)
     return {nm: float(b) for nm, b in zip(kept_names, beta)}
+
+
+def full_fit_xmin_scan(sample) -> FitComparison:
+    """The x_min scan as a full three-family fit at every candidate.
+
+    Every distinct value that leaves at least ``MIN_TAIL`` points at or
+    above it is fitted in full; a candidate whose fit raises TooFewPoints is
+    skipped, and the first fit of least power-law KS statistic wins.
+    ``fit_distributions(sample, scan_xmin=True)`` must return the same fit.
+    """
+    x = np.asarray(sample, dtype=float)
+    ordered = np.sort(x)
+    candidates = np.unique(x)
+    tail_counts = len(x) - np.searchsorted(ordered, candidates, side="left")
+    candidates = candidates[tail_counts >= MIN_TAIL]
+    if len(candidates) == 0:
+        raise TooFewPoints(f"no x_min leaves {MIN_TAIL} tail points")
+    best = None
+    for cand in candidates:
+        try:
+            fit = fit_distributions(x, x_min=float(cand))
+        except TooFewPoints:
+            continue
+        if best is None or fit.ks_stat < best.ks_stat:
+            best = fit
+    if best is None:
+        raise TooFewPoints("all candidate x_min values were degenerate")
+    return best

@@ -168,8 +168,10 @@ _RATIO_RULES = st.one_of(
     st.builds(TieredRatio, tiers=st.lists(st.tuples(_UNIT, _UNIT), min_size=1,
                                           max_size=4).map(tuple)),
 )
+X_MIN_CONFLICT = "x_min and scan_xmin exclude each other: the scan chooses x_min"
+
 RUN_CONFIGS = st.builds(
-    RunConfig,
+    lambda fit_x_min, **kwargs: RunConfig(x_min=fit_x_min[0], scan_xmin=fit_x_min[1], **kwargs),
     input_path=st.text(max_size=12),
     years=st.lists(st.integers(1900, 2100), max_size=4).map(tuple),
     method=st.builds(ReconstructionConfig,
@@ -196,8 +198,10 @@ RUN_CONFIGS = st.builds(
     group_column=st.text(max_size=12),
     value_column=st.text(max_size=12),
     column=st.text(max_size=12),
-    x_min=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    scan_xmin=st.booleans(),
+    # (x_min, scan_xmin), drawn together: a scan takes no x_min
+    fit_x_min=st.tuples(st.none() | st.floats(min_value=0.0, exclude_min=True,
+                                              allow_infinity=False), st.just(False))
+    | st.tuples(st.none(), st.just(True)),
 )
 
 
@@ -633,6 +637,21 @@ class TestCliCommands:
         assert r.returncode == 4
         assert r.stderr == "error: largest component has fewer than 2 nodes\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--epsilon", "1e9"), r"largest component has fewer than 2 nodes"),
+        (("--method", "fitness", "--fitness-alpha", "20", "--epsilon", "0"),
+         r"lambda2 \S+ is lost in the rounding of lambda_n \S+ \(dense eigvalsh\)"),
+    ])
+    def test_sweep_errors_name_the_year_and_ratio(self, tmp_path, capsys, flags, message):
+        # as analyze names the year of a failing network
+        panel = tmp_path / "panel.csv"
+        panel.write_text(synth_panel_csv(20, [2018, 2021], seed=2))
+        assert cli.main(["sweep", "--input", str(panel), "--sweep-steps", "3", *flags,
+                         "--output-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: year 2018, rho 0\.01: {message}\n", err), err
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_bootstrap_command_table(self, tmp_path):
         panel = tmp_path / "panel.csv"
         panel.write_text(synth_panel_csv(12, [2018], seed=1, log_sigma=0.5))
@@ -778,6 +797,8 @@ class TestCliCommands:
         ("fit", ("--x-min", "0"), "x_min must be finite and > 0, got 0.0"),
         ("fit", ("--x-min", "-1.5"), "x_min must be finite and > 0, got -1.5"),
         ("fit", ("--x-min", "nan"), "x_min must be finite and > 0, got nan"),
+        # the scan chooses x_min: a given one would be ignored
+        ("fit", ("--x-min", "5", "--scan-xmin"), X_MIN_CONFLICT),
         ("bootstrap", ("--level", "1.5"), "bootstrap level must be in (0, 1), got 1.5"),
         ("bootstrap", ("--level", "nan"), "bootstrap level must be in (0, 1), got nan"),
         ("bootstrap", ("-B", "5"), "bootstrap B must be >= 10, got 5"),
@@ -826,6 +847,7 @@ class TestCliCommands:
         ('{"n_draws": 0}', "error: n_draws must be >= 1, got 0\n"),
         ('{"n_perm": -3}', "error: n_perm must be >= 1, got -3\n"),
         ('{"x_min": 0}', "error: x_min must be finite and > 0, got 0.0\n"),
+        ('{"x_min": 5, "scan_xmin": true}', f"error: {X_MIN_CONFLICT}\n"),
         ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_large": 1.5}}}',
          "error: rho_large must be in (0, 1), got 1.5\n"),
         ('{"method": {"ratio_rule": {"kind": "size_threshold", "rho_small": 0}}}',

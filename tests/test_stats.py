@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_network, random_connected_network
-from oracles import did_within_coefficients
+from oracles import did_within_coefficients, full_fit_xmin_scan
 from contagion_lab import stats
 from contagion_lab.errors import (
     CollinearDesign,
@@ -22,6 +24,8 @@ from contagion_lab.ingest import TreatmentAssignment
 from contagion_lab.pipeline import network_lambda2, network_spectrum, to_json
 from contagion_lab.reconstruct import FixedRatio, ReconstructionConfig
 from contagion_lab.stats import (
+    MIN_TAIL,
+    FitComparison,
     _norm_cdf,
     _replicate_rng,
     bootstrap_lambda2,
@@ -228,6 +232,25 @@ class TestPlaceboNull:
         assert np.array_equal(res.null_lambda2, reference)
 
 
+_FIT_VALUES = st.floats(0.1, 1000.0) | st.integers(1, 12).map(float)  # integers tie
+
+
+@st.composite
+def fit_samples(draw):
+    """Positive samples with ties. Some end in an all-equal top tail, some in
+    exactly MIN_TAIL points at or above one value, and some are constant."""
+    values = draw(st.lists(_FIT_VALUES, max_size=40))
+    top = max(values, default=1.0)
+    shape = draw(st.sampled_from(["plain", "equal_top", "min_tail", "constant"]))
+    if shape == "equal_top":
+        values += [2.0 * top] * draw(st.integers(1, 2 * MIN_TAIL))
+    elif shape == "min_tail":
+        values += [2.0 * top + i for i in range(MIN_TAIL)]
+    elif shape == "constant":
+        values = [top] * draw(st.integers(0, 2 * MIN_TAIL))
+    return np.array(draw(st.permutations(values)), dtype=float)
+
+
 class TestFitDistributions:
     def test_closed_form_alpha_three_points(self):
         # alpha = 1 + 3 / (ln1 + ln2 + ln4) = 1 + 1/ln2
@@ -278,6 +301,45 @@ class TestFitDistributions:
         tail = 10.0 * (1.0 - rng.random(400)) ** (-1.0 / 1.5)
         fit = fit_distributions(np.concatenate([body, tail]), scan_xmin=True)
         assert fit.x_min > 1.0  # the scan moved past the lognormal body
+
+    def test_scan_and_x_min_exclude_each_other(self):
+        with pytest.raises(ValueError, match="x_min and scan_xmin exclude each other"):
+            fit_distributions(np.arange(1.0, 30.0), x_min=2.0, scan_xmin=True)
+
+    @given(fit_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_a_full_fit_at_every_candidate(self, sample):
+        try:
+            want = full_fit_xmin_scan(sample)
+        except TooFewPoints as exc:
+            with pytest.raises(TooFewPoints) as got:
+                fit_distributions(sample, scan_xmin=True)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        got = fit_distributions(sample, scan_xmin=True)
+        for f in fields(FitComparison):  # bit for bit
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+    def test_scan_keeps_the_first_x_min_of_least_ks(self, monkeypatch):
+        # of equal KS statistics the smallest x_min wins
+        monkeypatch.setattr(stats, "_power_law_fit", lambda tail, x_min: (2.0, 0.5))
+        assert fit_distributions(np.arange(1.0, 40.0), scan_xmin=True).x_min == 1.0
+
+    def test_a_scan_fits_the_three_families_once(self, monkeypatch):
+        # each candidate costs a power-law fit and its KS statistic alone; the
+        # normal CDF (tail mass, Vuong p and the lognormal CDF) is taken only at
+        # the chosen x_min, and fit_distributions does not call itself
+        sample = np.random.default_rng(27).lognormal(0.5, 0.8, 300)
+        norm_calls, entered = [], []
+        norm_cdf, fit = stats._norm_cdf, stats.fit_distributions
+        monkeypatch.setattr(stats, "_norm_cdf", lambda z: norm_calls.append(z) or norm_cdf(z))
+        monkeypatch.setattr(stats, "fit_distributions",
+                            lambda *a, **kw: entered.append(a) or fit(*a, **kw))
+        scanned = fit(sample, scan_xmin=True)
+        assert entered == [] and len(norm_calls) == 3
+        norm_calls.clear()
+        assert fit(sample, x_min=scanned.x_min) == scanned
+        assert len(norm_calls) == 3
 
     def test_normal_cdf_matches_scipy_ndtr(self):
         ndtr = pytest.importorskip("scipy.special").ndtr
